@@ -248,8 +248,8 @@ def cmd_trine(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master random seed")
     p.add_argument("--restarts", type=int, default=None, help="random optimizer restarts")
-    p.add_argument("--iters", type=int, default=None, help="simplex iteration cap")
-    p.add_argument("--tol", type=float, default=None, help="simplex convergence tolerance")
+    p.add_argument("--iters", type=int, default=None, help="L-BFGS iteration cap per start")
+    p.add_argument("--tol", type=float, default=None, help="L-BFGS gradient tolerance")
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 

@@ -28,16 +28,20 @@ from .linalg import (
 from .optimize import (
     OptimizerConfig,
     isometry_from_params,
+    isometry_from_params_vjp,
     multistart_minimize,
     n_basis_params,
     n_isometry_params,
     params_from_isometry,
     params_from_unitary,
     unitary_from_params,
+    unitary_from_params_vjp,
 )
 
 MAX_OPT_DIM = 16
 ZERO_PROB = 1e-12
+# floor for the logarithms in gradients: the smallest normal float
+LOG_FLOOR = np.finfo(float).tiny
 DEGENERACY_GAP = 1e-8
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -57,6 +61,39 @@ def _xlog2x_sum(v: np.ndarray) -> float:
 def _table_mi(table: np.ndarray) -> float:
     t = np.maximum(table, 0.0)
     return _xlog2x_sum(t.ravel()) - _xlog2x_sum(t.sum(axis=1)) - _xlog2x_sum(t.sum(axis=0))
+
+
+def _log2_floored(x: np.ndarray) -> np.ndarray:
+    """log2 with zero and round-off-negative entries raised to LOG_FLOOR.
+    Such an entry's log only multiplies a derivative that vanishes with it,
+    or a zero in a value sum, so it adds exactly nothing."""
+    return np.log2(np.maximum(x, LOG_FLOOR))
+
+
+def _mi_value_grad(rho_mat: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
+    """Record mi of the rank-one measurements with rows <k_i| and <k_s|, and
+    its gradients with respect to both row matrices.
+
+    With p_is = x_is rho x_is^H for x_is = <k_i| (x) <k_s|, the gradient of
+    I(p) in x_is is 2 g_is x_is rho, where g_is = dI/dp_is =
+    log2 p_is - log2 p_i. - log2 p_.s - 1/ln 2.  Zero entries contribute
+    exactly zero to the value, as in _table_mi.
+    """
+    na, da = rows_a.shape
+    nb, db = rows_b.shape
+    x = (rows_a[:, np.newaxis, :, np.newaxis] * rows_b[np.newaxis, :, np.newaxis, :]).reshape(
+        na * nb, da * db
+    )
+    xr = x @ rho_mat
+    t = np.maximum(np.einsum("kb,kb->k", xr, x.conj()).real, 0.0).reshape(na, nb)
+    ta, tb = t.sum(axis=1), t.sum(axis=0)
+    lt, la, lb = _log2_floored(t), _log2_floored(ta), _log2_floored(tb)
+    value = float(np.sum(t * lt) - ta @ la - tb @ lb)
+    g = lt - la[:, np.newaxis] - lb[np.newaxis, :] - 1.0 / np.log(2.0)
+    gx = (2.0 * g.reshape(-1, 1) * xr).reshape(na, nb, da, db)
+    grad_a = np.einsum("isab,sb->ia", gx, rows_b.conj())
+    grad_b = np.einsum("isab,ia->sb", gx, rows_a.conj())
+    return value, grad_a, grad_b
 
 
 @dataclass(frozen=True)
@@ -268,6 +305,38 @@ def _projective_seed_pairs(rho: DensityMatrix) -> list[tuple[np.ndarray, np.ndar
     return pairs
 
 
+def _basis_chart(d: int):
+    """Rows chart of a projective basis: Givens angles to U^H, with the
+    pullback of a rows gradient (whose adjoint is the gradient in U)."""
+
+    def chart(x):
+        u, pull = unitary_from_params_vjp(x, d)
+        return u.conj().T, lambda grad_rows: pull(grad_rows.conj().T)
+
+    return chart
+
+
+def _isometry_chart(n_out: int, d: int):
+    return lambda x: isometry_from_params_vjp(x, n_out, d)
+
+
+def _fixed_chart(rows: np.ndarray):
+    return lambda x: (rows, lambda grad_rows: np.empty(0))
+
+
+def _neg_mi_objective(rho_mat: np.ndarray, chart_a, chart_b, n_params_a: int):
+    """-(record mi) and its gradient on the parameters of both sides' charts;
+    the first n_params_a parameters belong to Alice."""
+
+    def objective(x):
+        rows_a, pull_a = chart_a(x[:n_params_a])
+        rows_b, pull_b = chart_b(x[n_params_a:])
+        value, grad_a, grad_b = _mi_value_grad(rho_mat, rows_a, rows_b)
+        return -value, -np.concatenate([pull_a(grad_a), pull_b(grad_b)])
+
+    return objective
+
+
 def maximize_mi_projective(
     rho: DensityMatrix,
     cfg: OptimizerConfig | None = None,
@@ -275,22 +344,18 @@ def maximize_mi_projective(
 ) -> MiSearchResult:
     """Search local projective bases for maximal record mutual information.
 
-    Multi-start simplex over a Givens-angle chart of both bases.  Structured
-    starts (computational, Fourier, marginal eigenbases, mixed pairs, any
-    extra_seeds) are always refined alongside cfg.restarts random starts,
-    and the best exact evaluation wins.  Deterministic given (rho, cfg.seed,
-    cfg.restarts); monotone in restarts.
+    Multi-start L-BFGS over a Givens-angle chart of both bases, with the
+    analytic gradient of record mi pulled back through the chart.
+    Structured starts (computational, Fourier, marginal eigenbases, mixed
+    pairs, any extra_seeds) are always refined alongside cfg.restarts random
+    starts, and the best exact evaluation wins.  Deterministic given (rho,
+    cfg.seed, cfg.restarts); monotone in restarts.
     """
     cfg = cfg or OptimizerConfig()
     _check_opt_dims(rho)
     da, db = rho.dim_a, rho.dim_b
     na, nb = n_basis_params(da), n_basis_params(db)
-    rho_mat = rho.mat
-
-    def objective(x):
-        ua = unitary_from_params(x[:na], da)
-        ub = unitary_from_params(x[na:], db)
-        return -_table_mi(_basis_pair_table(rho_mat, ua, ub))
+    objective = _neg_mi_objective(rho.mat, _basis_chart(da), _basis_chart(db), na)
 
     pairs = _projective_seed_pairs(rho)
     if extra_seeds:
@@ -307,7 +372,7 @@ def maximize_mi_projective(
             ]
         )
 
-    res = multistart_minimize(objective, seeds, cfg.restarts, na + nb, random_start, cfg)
+    res = multistart_minimize(objective, seeds, cfg.restarts, na + nb, random_start, cfg, jac=True)
     ua = unitary_from_params(res.params[:na], da)
     ub = unitary_from_params(res.params[na:], db)
     return MiSearchResult(
@@ -361,7 +426,6 @@ def maximize_mi_povm(
         raise ValueError(f"n_out_b must be >= {db}, got {n_out_b}")
     if (not free_a and fixed_a.rows is None) or (not free_b and fixed_b.rows is None):
         raise ValueError("fixed measurements must be rank-one (have rows)")
-    rho_mat = rho.mat
 
     proj = maximize_mi_projective(rho, cfg)
     ua = proj.meas_a.rows.conj().T
@@ -370,14 +434,9 @@ def maximize_mi_povm(
     pa = n_isometry_params(n_out_a, da) if free_a else 0
     pb = n_isometry_params(n_out_b, db) if free_b else 0
 
-    def split(x):
-        ra = isometry_from_params(x[:pa], n_out_a, da) if free_a else fixed_a.rows
-        rb = isometry_from_params(x[pa:], n_out_b, db) if free_b else fixed_b.rows
-        return ra, rb
-
-    def objective(x):
-        ra, rb = split(x)
-        return -_table_mi(_rows_table(rho_mat, ra, rb))
+    chart_a = _isometry_chart(n_out_a, da) if free_a else _fixed_chart(fixed_a.rows)
+    chart_b = _isometry_chart(n_out_b, db) if free_b else _fixed_chart(fixed_b.rows)
+    objective = _neg_mi_objective(rho.mat, chart_a, chart_b, pa)
 
     def side_seeds(u, d, n_out):
         frame = _fourier_frame(n_out, d)
@@ -398,8 +457,8 @@ def maximize_mi_povm(
     def random_start(rng):
         return rng.standard_normal(pa + pb)
 
-    res = multistart_minimize(objective, seeds, cfg.restarts, pa + pb, random_start, cfg)
-    ra, rb = split(res.params)
+    res = multistart_minimize(objective, seeds, cfg.restarts, pa + pb, random_start, cfg, jac=True)
+    ra, rb = chart_a(res.params[:pa])[0], chart_b(res.params[pa:])[0]
     return MiSearchResult(
         value=-res.value,
         meas_a=Povm.from_isometry(ra) if free_a else fixed_a,
@@ -445,11 +504,49 @@ class HolevoSearchResult:
 
 def _neg_avg_conditional_entropy(r4: np.ndarray, effects: np.ndarray) -> float:
     """-sum_i p_i S(rho_B|i), computed without normalizing each branch:
-    sum_i p_i S(m_i / p_i) = -sum xlog2x(eigs of m_i) + sum xlog2x(p_i)."""
+    sum_i p_i S(m_i / p_i) = -sum xlog2x(eigs of m_i) + sum xlog2x(p_i).
+    The searches use _holevo_value_grad; this plain value path is what its
+    value is tested against."""
     cond = np.einsum("abAB,iAa->ibB", r4, effects)
     probs = np.clip(np.einsum("ibb->i", cond).real, 0.0, None)
     vals = np.clip(np.linalg.eigvalsh(cond), 0.0, None)
     return _xlog2x_sum(vals.ravel()) - _xlog2x_sum(probs)
+
+
+def _rank_one_effects(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("sa,sb->sab", rows.conj(), rows)
+
+
+def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
+    """_neg_avg_conditional_entropy for the rank-one effects with rows <k_i|,
+    and its gradient with respect to the rows.
+
+    On each unnormalized conditional block m_i the derivative is
+    L_i = log2 m_i - log2(p_i) 1 (the entropy of p_i m_i / p_i gives
+    -log2 m_i, the p_i log p_i term the rest).  With
+    Z_i = Tr_B[rho (1 (x) L_i)], row i's gradient is 2 Z_i^T <k_i|.
+    """
+    cond = np.einsum("abAB,iAa->ibB", r4, _rank_one_effects(rows))
+    probs = np.maximum(np.einsum("ibb->i", cond).real, 0.0)
+    vals, vecs = np.linalg.eigh(cond)
+    vals = np.maximum(vals, 0.0)
+    lv, lp = _log2_floored(vals), _log2_floored(probs)
+    value = float(np.sum(vals * lv) - probs @ lp)
+    logm = (vecs * (lv - lp[:, np.newaxis])[:, np.newaxis, :]) @ vecs.conj().transpose(0, 2, 1)
+    z = np.einsum("abAB,iBb->iaA", r4, logm)
+    return value, 2.0 * np.einsum("iAa,iA->ia", z, rows)
+
+
+def _neg_holevo_objective(r4: np.ndarray, chart):
+    """-(conditional-entropy defect) and its gradient on a chart of Alice's
+    measurement rows."""
+
+    def objective(x):
+        rows, pull = chart(x)
+        value, grad_rows = _holevo_value_grad(r4, rows)
+        return -value, -pull(grad_rows)
+
+    return objective
 
 
 def classical_correlation_a(
@@ -475,15 +572,9 @@ def classical_correlation_a(
     s_b = von_neumann_entropy(mb)
     _, va = hermitian_eigen(ma)
 
-    def rank_one_effects(rows):
-        return np.einsum("sa,sb->sab", rows.conj(), rows)
-
     if projective_only:
         npar = n_basis_params(da)
-
-        def neg_value(x):
-            rows = unitary_from_params(x, da).conj().T
-            return -_neg_avg_conditional_entropy(r4, rank_one_effects(rows))
+        neg_value = _neg_holevo_objective(r4, _basis_chart(da))
 
         seeds = [np.zeros(npar), params_from_unitary(va)]
         if extra_seeds:
@@ -492,17 +583,14 @@ def classical_correlation_a(
         def random_start(rng):
             return params_from_unitary(random_unitary(da, rng))
 
-        res = multistart_minimize(neg_value, seeds, cfg.restarts, npar, random_start, cfg)
+        res = multistart_minimize(neg_value, seeds, cfg.restarts, npar, random_start, cfg, jac=True)
         meas = Povm.from_basis(ProjectiveBasis(unitary_from_params(res.params, da)))
     else:
         n_out = n_out or da * da
         if n_out < da:
             raise ValueError(f"n_out must be >= {da}, got {n_out}")
         npar = n_isometry_params(n_out, da)
-
-        def neg_value(x):
-            rows = isometry_from_params(x, n_out, da)
-            return -_neg_avg_conditional_entropy(r4, rank_one_effects(rows))
+        neg_value = _neg_holevo_objective(r4, _isometry_chart(n_out, da))
 
         seeds = [
             params_from_isometry(_embed_basis(np.eye(da), n_out)),
@@ -517,7 +605,7 @@ def classical_correlation_a(
         def random_start(rng):
             return rng.standard_normal(npar)
 
-        res = multistart_minimize(neg_value, seeds, cfg.restarts, npar, random_start, cfg)
+        res = multistart_minimize(neg_value, seeds, cfg.restarts, npar, random_start, cfg, jac=True)
         meas = Povm.from_isometry(isometry_from_params(res.params, n_out, da))
 
     # res.value is the minimized -(conditional-entropy defect)
