@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, InvalidStateError, as_rng, binary_entropy
+from .linalg import DensityMatrix, InvalidStateError, as_rng, binary_entropy, xlog2x
 from .measures import MiSearchResult, maximize_mi_projective
 from .optimize import OptimizerConfig
 
@@ -28,15 +28,9 @@ MAX_HAAR_N = 11
 
 
 def _h2(p: np.ndarray) -> np.ndarray:
-    # vectorized binary entropy, safe at the endpoints
+    # vectorized binary entropy, safe at the endpoints (+ 0.0 turns -0.0 into 0.0)
     p = np.clip(p, 0.0, 1.0)
-    q = 1.0 - p
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] -= p[mask] * np.log2(p[mask])
-    mask = q > 0.0
-    out[mask] -= q[mask] * np.log2(q[mask])
-    return out
+    return -xlog2x(p) - xlog2x(1.0 - p) + 0.0
 
 
 @dataclass(frozen=True)

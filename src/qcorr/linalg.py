@@ -82,17 +82,19 @@ class DensityMatrix:
         return self.dim_a * self.dim_b
 
 
+def marginal_mats(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced matrices (Tr_B rho, Tr_A rho), without validation."""
+    r = rho.mat.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    return np.einsum("ijkj->ik", r), np.einsum("ijil->jl", r)
+
+
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """Trace out one side; keep is "A" or "B".  The result is a single-system
     state represented with a trivial second factor."""
-    r = rho.mat.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    if keep == "A":
-        red = np.einsum("ijkj->ik", r)
-        return DensityMatrix(red, rho.dim_a, 1)
-    if keep == "B":
-        red = np.einsum("ijil->jl", r)
-        return DensityMatrix(red, rho.dim_b, 1)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    if keep not in ("A", "B"):
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    red = marginal_mats(rho)["AB".index(keep)]
+    return DensityMatrix(red, red.shape[0], 1)
 
 
 def swap_sides(rho: DensityMatrix) -> DensityMatrix:
@@ -131,11 +133,16 @@ def _clean_probs(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def xlog2x(x) -> np.ndarray:
+    """Elementwise x log2 x, taken as 0 wherever x <= 0."""
+    x = np.asarray(x, dtype=float)
+    pos = x > 0.0
+    return np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
+
+
 def shannon_entropy(p: np.ndarray) -> float:
     """Shannon entropy in bits; zero entries are skipped."""
-    p = _clean_probs(np.ravel(p))
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)) + 0.0)
+    return float(-np.sum(xlog2x(_clean_probs(np.ravel(p)))) + 0.0)
 
 
 def binary_entropy(p: float) -> float:

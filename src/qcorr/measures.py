@@ -9,7 +9,7 @@ nonclassicality / discord figures are upper estimates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,9 +21,11 @@ from .linalg import (
     as_rng,
     fourier_matrix,
     hermitian_eigen,
+    marginal_mats,
     random_unitary,
     swap_sides,
     von_neumann_entropy,
+    xlog2x,
 )
 from .optimize import (
     OptimizerConfig,
@@ -53,14 +55,35 @@ XBASIS = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 YBASIS = np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / np.sqrt(2)
 
 
-def _xlog2x_sum(v: np.ndarray) -> float:
-    v = v[v > 0.0]
-    return float(np.sum(v * np.log2(v)))
-
-
 def _table_mi(table: np.ndarray) -> float:
+    """Mutual information in bits of an unvalidated table; negative round-off
+    entries count as zero."""
     t = np.maximum(table, 0.0)
-    return _xlog2x_sum(t.ravel()) - _xlog2x_sum(t.sum(axis=1)) - _xlog2x_sum(t.sum(axis=0))
+    return float(xlog2x(t).sum() - xlog2x(t.sum(axis=1)).sum() - xlog2x(t.sum(axis=0)).sum())
+
+
+def _r4(rho: DensityMatrix) -> np.ndarray:
+    """rho as a tensor r4[a, b, A, B] = <a b| rho |A B>."""
+    return rho.mat.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+
+
+def _rank_one_effects(rows: np.ndarray) -> np.ndarray:
+    """Effects |k_s><k_s| of the rank-one measurement with rows <k_s|."""
+    return np.einsum("sa,sb->sab", rows.conj(), rows)
+
+
+def _conditional_blocks(r4: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """Unnormalized states of B after outcome i of Alice's effects:
+    m_i = Tr_A[rho (M_i (x) 1)], stacked (n_out, dim_b, dim_b)."""
+    return np.einsum("abAB,iAa->ibB", r4, effects)
+
+
+def _outcome_table(rho: DensityMatrix, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """p[i, s] = <k_s| m_i |k_s> for the rank-one measurements with rows <k_i|
+    and <k_s|, m_i being the conditional blocks of Alice's effects.  One side
+    at a time: O(d^5), no Kronecker product."""
+    blocks = _conditional_blocks(_r4(rho), _rank_one_effects(rows_a))
+    return np.einsum("sb,ibB,sB->is", rows_b, blocks, rows_b.conj()).real
 
 
 def _log2_floored(x: np.ndarray) -> np.ndarray:
@@ -140,10 +163,9 @@ class Povm:
         e = np.array(self.effects, dtype=np.complex128)
         if e.ndim != 3 or e.shape[1] != e.shape[2]:
             raise ValueError(f"effects must be (n, d, d), got {e.shape}")
-        for m in e:
-            low = np.linalg.eigvalsh(m)[0]
-            if low < -1e-10:
-                raise InvalidStateError(f"effect has negative eigenvalue {low:.3e}")
+        low = np.linalg.eigvalsh(e)[:, 0].min(initial=0.0)
+        if low < -1e-10:
+            raise InvalidStateError(f"effect has negative eigenvalue {low:.3e}")
         defect = np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[1])))
         if defect > 1e-9:
             raise InvalidStateError(f"effects sum differs from identity by {defect:.3e}")
@@ -166,8 +188,7 @@ class Povm:
     def from_basis(cls, basis: "ProjectiveBasis | np.ndarray") -> "Povm":
         u = basis.vectors if isinstance(basis, ProjectiveBasis) else np.asarray(basis)
         rows = u.conj().T
-        effects = np.einsum("sa,sb->sab", rows.conj(), rows)
-        return cls(effects, rows)
+        return cls(_rank_one_effects(rows), rows)
 
     @classmethod
     def from_isometry(cls, w: np.ndarray) -> "Povm":
@@ -177,8 +198,7 @@ class Povm:
         defect = np.max(np.abs(w.conj().T @ w - np.eye(w.shape[1])))
         if defect > 1e-9:
             raise InvalidStateError(f"columns not orthonormal (defect {defect:.3e})")
-        effects = np.einsum("sa,sb->sab", w.conj(), w)
-        return cls(effects, w)
+        return cls(_rank_one_effects(w), w)
 
     @classmethod
     def random_rank_one(cls, d: int, n_out: int, rng=None) -> "Povm":
@@ -224,18 +244,6 @@ class JointDistribution:
         return self.table.sum(axis=0)
 
 
-def _rows_table(rho_mat: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    x = np.kron(rows_a, rows_b)
-    p = np.einsum("ka,ab,kb->k", x, rho_mat, x.conj()).real
-    return p.reshape(rows_a.shape[0], rows_b.shape[0])
-
-
-def _basis_pair_table(rho_mat: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    m = np.kron(ua, ub)
-    p = np.einsum("lk,lk->k", m.conj(), rho_mat @ m).real
-    return p.reshape(ua.shape[1], ub.shape[1])
-
-
 def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     """Joint outcome distribution of independent local measurements."""
     pa, pb = _as_povm(meas_a), _as_povm(meas_b)
@@ -245,27 +253,23 @@ def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
             f"({rho.dim_a}, {rho.dim_b})"
         )
     if pa.rows is not None and pb.rows is not None:
-        table = _rows_table(rho.mat, pa.rows, pb.rows)
+        table = _outcome_table(rho, pa.rows, pb.rows)
     else:
-        r4 = rho.mat.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-        table = np.einsum("iax,sby,xyab->is", pa.effects, pb.effects, r4).real
+        table = np.einsum("iax,sby,xyab->is", pa.effects, pb.effects, _r4(rho)).real
     return JointDistribution(table)
 
 
 def classical_mutual_info(dist) -> float:
-    """Mutual information in bits of a joint outcome table."""
-    t = dist.table if isinstance(dist, JointDistribution) else np.asarray(dist, dtype=float)
-    return _table_mi(t)
-
-
-def _marginal_mats(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    r = rho.mat.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    return np.einsum("ijkj->ik", r), np.einsum("ijil->jl", r)
+    """Mutual information in bits of a joint outcome table; a raw array is
+    validated as a JointDistribution first."""
+    if not isinstance(dist, JointDistribution):
+        dist = JointDistribution(dist)
+    return _table_mi(dist.table)
 
 
 def quantum_mutual_info(rho: DensityMatrix) -> float:
     """S(A) + S(B) - S(AB) in bits."""
-    ma, mb = _marginal_mats(rho)
+    ma, mb = marginal_mats(rho)
     return von_neumann_entropy(ma) + von_neumann_entropy(mb) - von_neumann_entropy(rho.mat)
 
 
@@ -294,7 +298,7 @@ def _check_opt_dims(rho: DensityMatrix) -> None:
 
 def _projective_seed_pairs(rho: DensityMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     da, db = rho.dim_a, rho.dim_b
-    ma, mb = _marginal_mats(rho)
+    ma, mb = marginal_mats(rho)
     _, va = hermitian_eigen(ma)
     _, vb = hermitian_eigen(mb)
     fa, fb = fourier_matrix(da), fourier_matrix(db)
@@ -480,10 +484,8 @@ def conditional_states_b(rho: DensityMatrix, meas_a) -> list[tuple[float, np.nda
         raise DimensionMismatchError(
             f"measurement dim {pa.dim} does not match dim_a {rho.dim_a}"
         )
-    r4 = rho.mat.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    cond = np.einsum("abAB,iAa->ibB", r4, pa.effects)
     out = []
-    for m in cond:
+    for m in _conditional_blocks(_r4(rho), pa.effects):
         p = float(m.trace().real)
         if p > ZERO_PROB:
             out.append((p, m / p))
@@ -507,14 +509,10 @@ def _neg_avg_conditional_entropy(r4: np.ndarray, effects: np.ndarray) -> float:
     sum_i p_i S(m_i / p_i) = -sum xlog2x(eigs of m_i) + sum xlog2x(p_i).
     The searches use _holevo_value_grad; this plain value path is what its
     value is tested against."""
-    cond = np.einsum("abAB,iAa->ibB", r4, effects)
+    cond = _conditional_blocks(r4, effects)
     probs = np.clip(np.einsum("ibb->i", cond).real, 0.0, None)
     vals = np.clip(np.linalg.eigvalsh(cond), 0.0, None)
-    return _xlog2x_sum(vals.ravel()) - _xlog2x_sum(probs)
-
-
-def _rank_one_effects(rows: np.ndarray) -> np.ndarray:
-    return np.einsum("sa,sb->sab", rows.conj(), rows)
+    return float(xlog2x(vals).sum() - xlog2x(probs).sum())
 
 
 def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
@@ -526,7 +524,7 @@ def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
     -log2 m_i, the p_i log p_i term the rest).  With
     Z_i = Tr_B[rho (1 (x) L_i)], row i's gradient is 2 Z_i^T <k_i|.
     """
-    cond = np.einsum("abAB,iAa->ibB", r4, _rank_one_effects(rows))
+    cond = _conditional_blocks(r4, _rank_one_effects(rows))
     probs = np.maximum(np.einsum("ibb->i", cond).real, 0.0)
     vals, vecs = np.linalg.eigh(cond)
     vals = np.maximum(vals, 0.0)
@@ -567,8 +565,8 @@ def classical_correlation_a(
     cfg = cfg or OptimizerConfig()
     _check_opt_dims(rho)
     da = rho.dim_a
-    r4 = rho.mat.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    ma, mb = _marginal_mats(rho)
+    r4 = _r4(rho)
+    ma, mb = marginal_mats(rho)
     s_b = von_neumann_entropy(mb)
     _, va = hermitian_eigen(ma)
 
@@ -617,6 +615,14 @@ def classical_correlation_a(
     )
 
 
+def _clamp_discord(raw: float) -> float:
+    """Clamp round-off below zero; anything beyond it is an optimizer bug,
+    since the classical part is an exact evaluation."""
+    if raw < -1e-9:
+        raise InvalidStateError(f"discord {raw:.3e} below round-off floor; optimizer bug")
+    return max(raw, 0.0)
+
+
 @dataclass(frozen=True)
 class DiscordResult:
     value: float
@@ -636,11 +642,8 @@ def discord_a(
     bound); tiny negative round-off is clamped to zero."""
     smut = quantum_mutual_info(rho)
     cc = classical_correlation_a(rho, cfg, projective_only, extra_seeds=extra_seeds)
-    raw = smut - cc.value
-    if raw < -1e-9:
-        raise InvalidStateError(f"discord {raw:.3e} below round-off floor; optimizer bug")
     return DiscordResult(
-        value=max(raw, 0.0),
+        value=_clamp_discord(smut - cc.value),
         classical_correlation=cc.value,
         meas=cc.meas_a,
         converged=cc.converged,
@@ -679,10 +682,10 @@ def i_eigenbasis(rho: DensityMatrix) -> EigenbasisMi:
     degeneracy flags warn that other eigenbasis choices give different
     values (see i_eigenbasis_scan).
     """
-    ma, mb = _marginal_mats(rho)
+    ma, mb = marginal_mats(rho)
     wa, va = hermitian_eigen(ma)
     wb, vb = hermitian_eigen(mb)
-    value = _table_mi(_basis_pair_table(rho.mat, va, vb))
+    value = _table_mi(_outcome_table(rho, va.conj().T, vb.conj().T))
     return EigenbasisMi(value, _degenerate(wa), _degenerate(wb), va, vb)
 
 
@@ -701,7 +704,7 @@ def _random_eigenbasis(vals: np.ndarray, vecs: np.ndarray, rng) -> np.ndarray:
 def i_eigenbasis_scan(rho: DensityMatrix, samples: int = 100, seed: int = 0) -> np.ndarray:
     """Sample the eigenbasis-measurement mi over random basis choices inside
     degenerate eigenspaces; exhibits the range the canonical pick hides."""
-    ma, mb = _marginal_mats(rho)
+    ma, mb = marginal_mats(rho)
     wa, va = hermitian_eigen(ma)
     wb, vb = hermitian_eigen(mb)
     rng = as_rng(seed)
@@ -709,7 +712,7 @@ def i_eigenbasis_scan(rho: DensityMatrix, samples: int = 100, seed: int = 0) -> 
     for k in range(samples):
         ua = _random_eigenbasis(wa, va, rng)
         ub = _random_eigenbasis(wb, vb, rng)
-        out[k] = _table_mi(_basis_pair_table(rho.mat, ua, ub))
+        out[k] = _table_mi(_outcome_table(rho, ua.conj().T, ub.conj().T))
     return out
 
 
@@ -744,36 +747,15 @@ class CorrelationReport:
     degenerate_a: bool
     degenerate_b: bool
     mi_povm: float | None
-    povm_outcomes: tuple[int, int] | None
+    povm_outcomes_a: int | None
+    povm_outcomes_b: int | None
     heuristic: bool
     restarts: int
     converged: bool
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "entropy_a": self.entropy_a,
-            "entropy_b": self.entropy_b,
-            "entropy_ab": self.entropy_ab,
-            "quantum_mi": self.quantum_mi,
-            "mi_projective": self.mi_projective,
-            "nonclassicality": self.nonclassicality,
-            "classical_corr_a": self.classical_corr_a,
-            "discord_a": self.discord_a,
-            "classical_corr_b": self.classical_corr_b,
-            "discord_b": self.discord_b,
-            "eigenbasis_mi": self.eigenbasis_mi,
-            "disturbance": self.disturbance,
-            "degenerate_a": self.degenerate_a,
-            "degenerate_b": self.degenerate_b,
-            "mi_povm": self.mi_povm,
-            "povm_outcomes_a": None if self.povm_outcomes is None else self.povm_outcomes[0],
-            "povm_outcomes_b": None if self.povm_outcomes is None else self.povm_outcomes[1],
-            "heuristic": self.heuristic,
-            "restarts": self.restarts,
-            "converged": self.converged,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def full_report(
@@ -789,7 +771,7 @@ def full_report(
     nonclassicality >= discord holds up to float round-off.
     """
     cfg = cfg or OptimizerConfig()
-    ma, mb = _marginal_mats(rho)
+    ma, mb = marginal_mats(rho)
     s_a = von_neumann_entropy(ma)
     s_b = von_neumann_entropy(mb)
     s_ab = von_neumann_entropy(rho.mat)
@@ -804,15 +786,10 @@ def full_report(
     cc_a = classical_correlation_a(rho, cfg, extra_seeds=[ua])
     cc_b = classical_correlation_a(swap_sides(rho), cfg, extra_seeds=[ub])
 
-    def clamp_discord(raw: float) -> float:
-        if raw < -1e-9:
-            raise InvalidStateError(f"negative discord {raw:.3e}; optimizer bug")
-        return max(raw, 0.0)
-
+    n_out_a, n_out_b = povm_outcomes or (None, None)
     mi_povm = None
     if povm_outcomes is not None:
-        pov = maximize_mi_povm(rho, povm_outcomes[0], povm_outcomes[1], cfg)
-        mi_povm = pov.value
+        mi_povm = maximize_mi_povm(rho, n_out_a, n_out_b, cfg).value
 
     return CorrelationReport(
         entropy_a=s_a,
@@ -822,15 +799,16 @@ def full_report(
         mi_projective=proj.value,
         nonclassicality=smut - proj.value,
         classical_corr_a=cc_a.value,
-        discord_a=clamp_discord(smut - cc_a.value),
+        discord_a=_clamp_discord(smut - cc_a.value),
         classical_corr_b=cc_b.value,
-        discord_b=clamp_discord(smut - cc_b.value),
+        discord_b=_clamp_discord(smut - cc_b.value),
         eigenbasis_mi=eig.value,
         disturbance=smut - eig.value,
         degenerate_a=eig.degenerate_a,
         degenerate_b=eig.degenerate_b,
         mi_povm=mi_povm,
-        povm_outcomes=povm_outcomes,
+        povm_outcomes_a=n_out_a,
+        povm_outcomes_b=n_out_b,
         heuristic=True,
         restarts=cfg.restarts,
         converged=proj.converged and cc_a.converged and cc_b.converged,

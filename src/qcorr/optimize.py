@@ -33,17 +33,14 @@ class OptimizerConfig:
     top.  Each start runs L-BFGS-B: max_iters caps its iterations
     (scipy's maxiter) and tolerance is its gradient test (gtol, on the
     largest gradient entry); the relative-decrease test keeps scipy's
-    default (ftol about 2.2e-9).  method selects nothing: it
-    accepts only its historical default, so that existing configurations
-    still construct.  Results are deterministic functions of (problem,
-    seed, restarts) and monotone in restarts.
+    default (ftol about 2.2e-9).  Results are deterministic functions of
+    (problem, seed, restarts) and monotone in restarts.
     """
 
     restarts: int = 32
     max_iters: int = 400
     tolerance: float = 1e-7
     seed: int = 0
-    method: str = "simplex"
 
     def __post_init__(self):
         if self.restarts < 0:
@@ -52,8 +49,6 @@ class OptimizerConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.method != "simplex":
-            raise ValueError(f"unsupported method {self.method!r}")
 
 
 def pair_order(d: int) -> list[tuple[int, int]]:

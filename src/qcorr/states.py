@@ -7,7 +7,7 @@ checked against them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .linalg import (
     binary_entropy,
     fourier_matrix,
     shannon_entropy,
+    xlog2x,
 )
 from .measures import (
     PAULI_X,
@@ -26,7 +27,7 @@ from .measures import (
     MiSearchResult,
     Povm,
     ProjectiveBasis,
-    _table_mi,
+    classical_mutual_info,
     joint_distribution,
     maximize_mi_povm,
     maximize_mi_projective,
@@ -42,10 +43,6 @@ class FamilyAnalytics:
     quantum_mi: float
     mi_projective: float
     nonclassicality: float
-
-
-def _xlog2x(x: float) -> float:
-    return x * np.log2(x) if x > 0.0 else 0.0
 
 
 def bell_diagonal_probs(r) -> np.ndarray:
@@ -103,11 +100,7 @@ def correlation_tensor_state(w: np.ndarray) -> DensityMatrix:
 
 
 def _swap_operator(d: int) -> np.ndarray:
-    p = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            p[i * d + j, j * d + i] = 1.0
-    return p
+    return np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
 def werner_state(d: int, alpha: float) -> DensityMatrix:
@@ -135,7 +128,7 @@ def werner_analytics(d: int, alpha: float) -> FamilyAnalytics:
     lam_anti = (1 + alpha) / norm
     n_sym = d * (d + 1) / 2
     n_anti = d * (d - 1) / 2
-    s_ab = -(n_sym * _xlog2x(lam_sym) + n_anti * _xlog2x(lam_anti))
+    s_ab = -(n_sym * xlog2x(lam_sym) + n_anti * xlog2x(lam_anti))
     smut = 2 * np.log2(d) - s_ab
     mi = np.log2(d / (d - alpha)) + (1 - alpha) / (d - alpha) * (
         np.log2(1 - alpha) if alpha < 1.0 else 0.0
@@ -209,16 +202,7 @@ class LockingReport:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "dim": self.dim,
-            "quantum_mi": self.quantum_mi,
-            "mi_no_comm": self.mi_no_comm,
-            "mi_after_one_bit": self.mi_after_one_bit,
-            "comm_cost": self.comm_cost,
-            "unlock_gain": self.unlock_gain,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 def _conditional_value_state(d: int, u: np.ndarray) -> DensityMatrix:
@@ -271,7 +255,7 @@ def locking_demo(
     for cond, ub in zip(conds, bob_bases):
         jd = joint_distribution(cond, np.eye(d), ub)
         blocks.append(jd.table / 2.0)
-    after = _table_mi(np.vstack(blocks))
+    after = classical_mutual_info(np.vstack(blocks))
 
     return LockingReport(
         variant=variant,
@@ -347,12 +331,9 @@ def trine_projective_grid(n_points: int = 10_000) -> tuple[float, float, float]:
     joint_plus = cond_plus / 3
     joint_minus = (1 - cond_plus) / 3
     cells = np.concatenate([joint_plus, joint_minus], axis=0)  # (6, G)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_joint = -np.where(cells > 0, cells * np.log2(cells), 0.0).sum(axis=0)
+    h_joint = -xlog2x(cells).sum(axis=0)
     pb = joint_plus.sum(axis=0)
-    h_b = -np.where(pb > 0, pb * np.log2(pb), 0.0) - np.where(
-        1 - pb > 0, (1 - pb) * np.log2(1 - pb), 0.0
-    )
+    h_b = -xlog2x(pb) - xlog2x(1 - pb)
     mi = np.log2(3.0) + h_b - h_joint
     k = int(np.argmax(mi))
     return float(mi[k]), float(tt.ravel()[k]), float(pp.ravel()[k])

@@ -11,7 +11,6 @@ from qcorr.measures import (
     Povm,
     ProjectiveBasis,
     _basis_chart,
-    _basis_pair_table,
     _embed_basis,
     _fixed_chart,
     _holevo_value_grad,
@@ -20,8 +19,8 @@ from qcorr.measures import (
     _neg_avg_conditional_entropy,
     _neg_holevo_objective,
     _neg_mi_objective,
+    _outcome_table,
     _rank_one_effects,
-    _rows_table,
     _table_mi,
     classical_correlation_a,
     full_report,
@@ -66,11 +65,12 @@ def test_mi_kernel_value_matches_table_paths(da, db):
     rho = random_density_matrix(da, db, rng=rng)
     ua, ub = random_unitary(da, rng), random_unitary(db, rng)
     value = _mi_value_grad(rho.mat, ua.conj().T, ub.conj().T)[0]
-    assert value == pytest.approx(_table_mi(_basis_pair_table(rho.mat, ua, ub)), abs=1e-12)
+    reference = _table_mi(_outcome_table(rho, ua.conj().T, ub.conj().T))
+    assert value == pytest.approx(reference, abs=1e-12)
     ra = Povm.random_rank_one(da, da + 2, rng).rows
     rb = Povm.random_rank_one(db, db + 1, rng).rows
     value = _mi_value_grad(rho.mat, ra, rb)[0]
-    assert value == pytest.approx(_table_mi(_rows_table(rho.mat, ra, rb)), abs=1e-12)
+    assert value == pytest.approx(_table_mi(_outcome_table(rho, ra, rb)), abs=1e-12)
 
 
 @pytest.mark.parametrize("da,db", SHAPES)

@@ -108,6 +108,13 @@ def test_classical_mutual_info_oracles():
     assert classical_mutual_info(hand) == pytest.approx(0.31127812445913294, abs=1e-12)
 
 
+def test_classical_mutual_info_validates_raw_tables():
+    # unchecked, these gave -2.0 bits and 1.04 bits (above log2 2)
+    for bad in (np.full((2, 2), 0.5), np.diag([0.3, 0.3]), np.array([[0.7, -0.1], [0.2, 0.2]])):
+        with pytest.raises(InvalidStateError):
+            classical_mutual_info(bad)
+
+
 def test_quantum_mutual_info_oracles():
     assert quantum_mutual_info(SINGLET) == pytest.approx(2.0, abs=1e-12)
     a = random_density_matrix(2, 1, rng=as_rng(1))

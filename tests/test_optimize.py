@@ -72,8 +72,6 @@ def test_isometry_from_params_is_isometry():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=-1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(method="annealing")
 
 
 def quadratic(x):
