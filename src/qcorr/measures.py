@@ -14,10 +14,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .linalg import (
+    PSD_TOL,
     DensityMatrix,
     DimensionMismatchError,
     InvalidStateError,
     UnsupportedDimensionError,
+    adjoint,
     as_rng,
     fourier_matrix,
     hermitian_eigen,
@@ -57,8 +59,9 @@ YBASIS = np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / np.sqrt(2)
 
 def _table_mi(table: np.ndarray) -> float:
     """Mutual information in bits of an unvalidated table; negative round-off
-    entries count as zero."""
+    entries count as zero and the rest is renormalized to sum to one."""
     t = np.maximum(table, 0.0)
+    t = t / t.sum()
     return float(xlog2x(t).sum() - xlog2x(t.sum(axis=1)).sum() - xlog2x(t.sum(axis=0)).sum())
 
 
@@ -69,13 +72,17 @@ def _r4(rho: DensityMatrix) -> np.ndarray:
 
 def _rank_one_effects(rows: np.ndarray) -> np.ndarray:
     """Effects |k_s><k_s| of the rank-one measurement with rows <k_s|."""
-    return np.einsum("sa,sb->sab", rows.conj(), rows)
+    return np.einsum("...sa,...sb->...sab", rows.conj(), rows)
 
 
 def _conditional_blocks(r4: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """Unnormalized states of B after outcome i of Alice's effects:
-    m_i = Tr_A[rho (M_i (x) 1)], stacked (n_out, dim_b, dim_b)."""
-    return np.einsum("abAB,iAa->ibB", r4, effects)
+    m_i = Tr_A[rho (M_i (x) 1)], stacked (..., n_out, dim_b, dim_b): one
+    matmul of the effects, flattened over (A, a), on r4 as a matrix."""
+    da, db = r4.shape[:2]
+    flat = effects.reshape(effects.shape[:-2] + (da * da,))
+    blocks = flat @ r4.transpose(2, 0, 1, 3).reshape(da * da, db * db)
+    return blocks.reshape(blocks.shape[:-1] + (db, db))
 
 
 def _outcome_table(rho: DensityMatrix, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
@@ -95,27 +102,28 @@ def _log2_floored(x: np.ndarray) -> np.ndarray:
 
 def _mi_value_grad(rho_mat: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
     """Record mi of the rank-one measurements with rows <k_i| and <k_s|, and
-    its gradients with respect to both row matrices.
+    its gradients with respect to both row matrices.  Leading axes of the
+    row stacks broadcast: (..., n, d) rows give (...,) values.
 
     With p_is = x_is rho x_is^H for x_is = <k_i| (x) <k_s|, the gradient of
     I(p) in x_is is 2 g_is x_is rho, where g_is = dI/dp_is =
     log2 p_is - log2 p_i. - log2 p_.s - 1/ln 2.  Zero entries contribute
     exactly zero to the value, as in _table_mi.
     """
-    na, da = rows_a.shape
-    nb, db = rows_b.shape
-    x = (rows_a[:, np.newaxis, :, np.newaxis] * rows_b[np.newaxis, :, np.newaxis, :]).reshape(
-        na * nb, da * db
-    )
+    na, da = rows_a.shape[-2:]
+    nb, db = rows_b.shape[-2:]
+    x = rows_a[..., :, np.newaxis, :, np.newaxis] * rows_b[..., np.newaxis, :, np.newaxis, :]
+    batch = x.shape[:-4]
+    x = x.reshape(batch + (na * nb, da * db))
     xr = x @ rho_mat
-    t = np.maximum(np.einsum("kb,kb->k", xr, x.conj()).real, 0.0).reshape(na, nb)
-    ta, tb = t.sum(axis=1), t.sum(axis=0)
+    t = np.maximum(np.einsum("...kb,...kb->...k", xr, x.conj()).real, 0.0).reshape(batch + (na, nb))
+    ta, tb = t.sum(axis=-1), t.sum(axis=-2)
     lt, la, lb = _log2_floored(t), _log2_floored(ta), _log2_floored(tb)
-    value = float(np.sum(t * lt) - ta @ la - tb @ lb)
-    g = lt - la[:, np.newaxis] - lb[np.newaxis, :] - 1.0 / np.log(2.0)
-    gx = (2.0 * g.reshape(-1, 1) * xr).reshape(na, nb, da, db)
-    grad_a = np.einsum("isab,sb->ia", gx, rows_b.conj())
-    grad_b = np.einsum("isab,ia->sb", gx, rows_a.conj())
+    value = (t * lt).sum(axis=(-2, -1)) - (ta * la).sum(axis=-1) - (tb * lb).sum(axis=-1)
+    g = lt - la[..., :, np.newaxis] - lb[..., np.newaxis, :] - 1.0 / np.log(2.0)
+    gx = (2.0 * g.reshape(batch + (-1, 1)) * xr).reshape(batch + (na, nb, da, db))
+    grad_a = np.einsum("...isab,...sb->...ia", gx, rows_b.conj())
+    grad_b = np.einsum("...isab,...ia->...sb", gx, rows_a.conj())
     return value, grad_a, grad_b
 
 
@@ -227,7 +235,7 @@ class JointDistribution:
 
     def __post_init__(self):
         t = np.array(self.table, dtype=float)
-        if t.min() < -ZERO_PROB:
+        if t.min() < -PSD_TOL:
             raise InvalidStateError(f"negative joint probability {t.min():.3e}")
         if abs(t.sum() - 1.0) > 1e-9:
             raise InvalidStateError(f"joint table sums to {t.sum():.12f}")
@@ -286,6 +294,7 @@ class MiSearchResult:
     meas_b: Povm
     converged: bool
     n_starts: int
+    n_converged: int
 
 
 def _check_opt_dims(rho: DensityMatrix) -> None:
@@ -311,11 +320,12 @@ def _projective_seed_pairs(rho: DensityMatrix) -> list[tuple[np.ndarray, np.ndar
 
 def _basis_chart(d: int):
     """Rows chart of a projective basis: Givens angles to U^H, with the
-    pullback of a rows gradient (whose adjoint is the gradient in U)."""
+    pullback of a rows gradient (whose adjoint is the gradient in U).  The
+    charts take stacked parameters (..., n) and return stacked rows."""
 
     def chart(x):
         u, pull = unitary_from_params_vjp(x, d)
-        return u.conj().T, lambda grad_rows: pull(grad_rows.conj().T)
+        return adjoint(u), lambda grad_rows: pull(adjoint(grad_rows))
 
     return chart
 
@@ -325,18 +335,19 @@ def _isometry_chart(n_out: int, d: int):
 
 
 def _fixed_chart(rows: np.ndarray):
-    return lambda x: (rows, lambda grad_rows: np.empty(0))
+    return lambda x: (rows, lambda grad_rows: np.empty(grad_rows.shape[:-2] + (0,)))
 
 
 def _neg_mi_objective(rho_mat: np.ndarray, chart_a, chart_b, n_params_a: int):
     """-(record mi) and its gradient on the parameters of both sides' charts;
-    the first n_params_a parameters belong to Alice."""
+    the first n_params_a parameters belong to Alice.  Stacked points (S, n)
+    give values (S,) and gradients (S, n)."""
 
     def objective(x):
-        rows_a, pull_a = chart_a(x[:n_params_a])
-        rows_b, pull_b = chart_b(x[n_params_a:])
+        rows_a, pull_a = chart_a(x[..., :n_params_a])
+        rows_b, pull_b = chart_b(x[..., n_params_a:])
         value, grad_a, grad_b = _mi_value_grad(rho_mat, rows_a, rows_b)
-        return -value, -np.concatenate([pull_a(grad_a), pull_b(grad_b)])
+        return -value, -np.concatenate([pull_a(grad_a), pull_b(grad_b)], axis=-1)
 
     return objective
 
@@ -385,6 +396,7 @@ def maximize_mi_projective(
         meas_b=Povm.from_basis(ProjectiveBasis(ub)),
         converged=res.converged,
         n_starts=res.n_starts,
+        n_converged=res.n_converged,
     )
 
 
@@ -469,6 +481,7 @@ def maximize_mi_povm(
         meas_b=Povm.from_isometry(rb) if free_b else fixed_b,
         converged=res.converged,
         n_starts=res.n_starts,
+        n_converged=res.n_converged,
     )
 
 
@@ -502,6 +515,7 @@ class HolevoSearchResult:
     meas_a: Povm
     converged: bool
     n_starts: int
+    n_converged: int
 
 
 def _neg_avg_conditional_entropy(r4: np.ndarray, effects: np.ndarray) -> float:
@@ -517,7 +531,8 @@ def _neg_avg_conditional_entropy(r4: np.ndarray, effects: np.ndarray) -> float:
 
 def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
     """_neg_avg_conditional_entropy for the rank-one effects with rows <k_i|,
-    and its gradient with respect to the rows.
+    and its gradient with respect to the rows; stacked rows (..., n, d) give
+    (...,) values.
 
     On each unnormalized conditional block m_i the derivative is
     L_i = log2 m_i - log2(p_i) 1 (the entropy of p_i m_i / p_i gives
@@ -525,19 +540,22 @@ def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
     Z_i = Tr_B[rho (1 (x) L_i)], row i's gradient is 2 Z_i^T <k_i|.
     """
     cond = _conditional_blocks(r4, _rank_one_effects(rows))
-    probs = np.maximum(np.einsum("ibb->i", cond).real, 0.0)
+    probs = np.maximum(np.einsum("...ibb->...i", cond).real, 0.0)
     vals, vecs = np.linalg.eigh(cond)
     vals = np.maximum(vals, 0.0)
     lv, lp = _log2_floored(vals), _log2_floored(probs)
-    value = float(np.sum(vals * lv) - probs @ lp)
-    logm = (vecs * (lv - lp[:, np.newaxis])[:, np.newaxis, :]) @ vecs.conj().transpose(0, 2, 1)
-    z = np.einsum("abAB,iBb->iaA", r4, logm)
-    return value, 2.0 * np.einsum("iAa,iA->ia", z, rows)
+    value = (vals * lv).sum(axis=(-2, -1)) - (probs * lp).sum(axis=-1)
+    logm = (vecs * (lv - lp[..., np.newaxis])[..., np.newaxis, :]) @ adjoint(vecs)
+    # z[i, a, A] = sum_bB L_i[B, b] r4[a, b, A, B]: one matmul, as in _conditional_blocks
+    da, db = r4.shape[:2]
+    r_adj = r4.transpose(3, 1, 0, 2).reshape(db * db, da * da)
+    z = (logm.reshape(logm.shape[:-2] + (db * db,)) @ r_adj).reshape(logm.shape[:-2] + (da, da))
+    return value, 2.0 * np.einsum("...iAa,...iA->...ia", z, rows)
 
 
 def _neg_holevo_objective(r4: np.ndarray, chart):
     """-(conditional-entropy defect) and its gradient on a chart of Alice's
-    measurement rows."""
+    measurement rows, for one or stacked points as _neg_mi_objective."""
 
     def objective(x):
         rows, pull = chart(x)
@@ -612,6 +630,7 @@ def classical_correlation_a(
         meas_a=meas,
         converged=res.converged,
         n_starts=res.n_starts,
+        n_converged=res.n_converged,
     )
 
 

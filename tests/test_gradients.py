@@ -1,12 +1,19 @@
 """Analytic gradients of the search objectives, checked against central
-finite differences, and the searches on inputs with zero probabilities."""
+finite differences, stacked evaluation against one point at a time, the
+lockstep L-BFGS, and the searches on inputs with zero probabilities."""
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from qcorr.linalg import DensityMatrix, as_rng, random_density_matrix, random_unitary
+from qcorr.linalg import (
+    DensityMatrix,
+    as_rng,
+    random_density_matrix,
+    random_unitary,
+    swap_sides,
+)
 from qcorr.measures import (
     Povm,
     ProjectiveBasis,
@@ -20,6 +27,7 @@ from qcorr.measures import (
     _neg_holevo_objective,
     _neg_mi_objective,
     _outcome_table,
+    _r4,
     _rank_one_effects,
     _table_mi,
     classical_correlation_a,
@@ -29,10 +37,12 @@ from qcorr.measures import (
 )
 from qcorr.optimize import (
     OptimizerConfig,
+    _lockstep_lbfgs,
     multistart_minimize,
     n_basis_params,
     n_isometry_params,
     params_from_isometry,
+    params_from_unitary,
 )
 from qcorr.states import trine_state
 
@@ -49,10 +59,18 @@ def central_differences(objective, x, h=1e-6):
     return out
 
 
-def assert_gradient_matches(objective, x):
-    _, grad = objective(x)
-    fd = central_differences(objective, x)
-    assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd), (grad, fd)
+def assert_gradient_matches(objective, points):
+    """Each point's gradient against central differences, and the stacked
+    evaluation of all points against the evaluation of each point alone."""
+    points = np.atleast_2d(points)
+    values, grads = objective(points)
+    assert values.shape == points.shape[:1] and grads.shape == points.shape
+    for x, value, grad in zip(points, values, grads):
+        alone_value, alone_grad = objective(x)
+        assert abs(value - alone_value) <= 1e-12
+        assert np.abs(grad - alone_grad).max() <= 1e-12
+        fd = central_differences(objective, x)
+        assert np.linalg.norm(alone_grad - fd) <= 1e-6 * np.linalg.norm(fd), (alone_grad, fd)
 
 
 def random_angles(d, rng):
@@ -89,9 +107,12 @@ def test_projective_mi_gradient(da, db):
     rng = as_rng([3, da, db])
     rho = random_density_matrix(da, db, rng=rng)
     objective = _neg_mi_objective(rho.mat, _basis_chart(da), _basis_chart(db), n_basis_params(da))
-    assert_gradient_matches(objective, np.concatenate([random_angles(da, rng), random_angles(db, rng)]))
-    # identity seed: every theta is zero, where the phi directions are flat
-    assert_gradient_matches(objective, np.zeros(n_basis_params(da) + n_basis_params(db)))
+    # the identity seed has every theta at zero, where the phi directions are flat
+    assert_gradient_matches(objective, [
+        np.concatenate([random_angles(da, rng), random_angles(db, rng)]),
+        np.zeros(n_basis_params(da) + n_basis_params(db)),
+        np.concatenate([random_angles(da, rng), random_angles(db, rng)]),
+    ])
 
 
 @pytest.mark.parametrize("da,db", SHAPES)
@@ -101,18 +122,17 @@ def test_povm_mi_gradient_free_and_fixed_sides(da, db):
     na, nb = da + 2, db + 1
     pa, pb = n_isometry_params(na, da), n_isometry_params(nb, db)
     both = _neg_mi_objective(rho.mat, _isometry_chart(na, da), _isometry_chart(nb, db), pa)
-    assert_gradient_matches(both, rng.standard_normal(pa + pb))
     seed = np.concatenate([
         params_from_isometry(_embed_basis(np.eye(da), na)),
         params_from_isometry(_embed_basis(np.eye(db), nb)),
     ])
-    assert_gradient_matches(both, seed)
+    assert_gradient_matches(both, [rng.standard_normal(pa + pb), seed])
     fixed_a = _fixed_chart(Povm.from_basis(ProjectiveBasis(random_unitary(da, rng))).rows)
     fixed_b = _fixed_chart(Povm.random_rank_one(db, nb, rng).rows)
     assert_gradient_matches(_neg_mi_objective(rho.mat, fixed_a, _isometry_chart(nb, db), 0),
-                            rng.standard_normal(pb))
+                            rng.standard_normal((2, pb)))
     assert_gradient_matches(_neg_mi_objective(rho.mat, _isometry_chart(na, da), fixed_b, pa),
-                            rng.standard_normal(pa))
+                            rng.standard_normal((2, pa)))
 
 
 @pytest.mark.parametrize("da,db", SHAPES)
@@ -121,22 +141,74 @@ def test_holevo_gradient_projective_and_povm(da, db):
     rho = random_density_matrix(da, db, rng=rng)
     r4 = rho.mat.reshape(da, db, da, db)
     projective = _neg_holevo_objective(r4, _basis_chart(da))
-    assert_gradient_matches(projective, random_angles(da, rng))
-    assert_gradient_matches(projective, np.zeros(n_basis_params(da)))
+    assert_gradient_matches(projective, [random_angles(da, rng), np.zeros(n_basis_params(da))])
     n_out = da * da
     povm = _neg_holevo_objective(r4, _isometry_chart(n_out, da))
-    assert_gradient_matches(povm, rng.standard_normal(n_isometry_params(n_out, da)))
+    assert_gradient_matches(povm, rng.standard_normal((2, n_isometry_params(n_out, da))))
 
 
 def test_multistart_uses_a_supplied_gradient():
-    def quadratic_with_gradient(x):
-        return float(np.sum((x - 0.7) ** 2)), 2 * (x - 0.7)
+    def quadratic_with_gradient(x):  # stacked points (S, 3)
+        return np.sum((x - 0.7) ** 2, axis=1), 2 * (x - 0.7)
 
     cfg = OptimizerConfig(restarts=2, seed=0)
     res = multistart_minimize(quadratic_with_gradient, [np.zeros(3)], cfg.restarts, 3,
                               lambda rng: rng.uniform(-2, 2, 3), cfg, jac=True)
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.converged and res.n_starts == 3
+    assert res.status == (0, 0, 0) and res.n_converged == 3
+    assert len(res.nfev) == 3 and all(nfev > nit >= 1 for nfev, nit in zip(res.nfev, res.nit))
+
+
+def test_lockstep_stops_on_relative_decrease():
+    def offset_bowl(x):  # stacked points (S, 4)
+        return 1e12 + np.sum((x - 0.7) ** 2, axis=1), 2 * (x - 0.7)
+
+    res = multistart_minimize(offset_bowl, [np.zeros(4)], 0, 4, None, OptimizerConfig(), jac=True)
+    # the first step lowers the value by 1.8, a relative 1.8e-12, while the
+    # largest gradient entry is still 0.4
+    assert res.status == (0,) and res.nit == (1,)
+    assert res.value - 1e12 == pytest.approx(0.16, abs=1e-3)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lockstep_start_is_the_same_alone_and_in_a_batch(d):
+    rho = random_density_matrix(d, d, rng=as_rng([10, d]))
+    na = n_basis_params(d)
+    cfg = OptimizerConfig(seed=0)
+    cases = [
+        (_neg_mi_objective(rho.mat, _basis_chart(d), _basis_chart(d), na),
+         [np.concatenate([params_from_unitary(random_unitary(d, as_rng([d, k])))
+                          for _ in range(2)]) for k in range(5)]),
+        (_neg_holevo_objective(_r4(rho), _isometry_chart(d + 1, d)),
+         as_rng([11, d]).standard_normal((5, n_isometry_params(d + 1, d)))),
+    ]
+    for objective, starts in cases:
+        x, f, nfev, _, _ = _lockstep_lbfgs(objective, np.array(starts), cfg)
+        assert len(set(nfev)) > 1  # starts leave the batch at different rounds
+        for k, x0 in enumerate(starts):
+            x_alone, f_alone, _, _, _ = _lockstep_lbfgs(objective, x0[np.newaxis], cfg)
+            assert abs(f_alone[0] - f[k]) <= 1e-12
+            assert np.abs(x_alone[0] - x[k]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_searches_stop_stationary(d):
+    """At least 90% of the starts of every search stop with status 0."""
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    for k in range(3):
+        rho = random_density_matrix(d, d, rng=100 + k)
+        proj = maximize_mi_projective(rho, cfg)
+        ua, ub = proj.meas_a.rows.conj().T, proj.meas_b.rows.conj().T
+        searches = [
+            proj,
+            classical_correlation_a(rho, cfg, extra_seeds=[ua]),
+            classical_correlation_a(swap_sides(rho), cfg, extra_seeds=[ub]),
+            classical_correlation_a(rho, cfg, projective_only=False),
+            maximize_mi_povm(rho, d + 1, d + 1, cfg),
+        ]
+        for res in searches:
+            assert res.n_converged >= 0.9 * res.n_starts, (k, res.n_converged, res.n_starts)
 
 
 def _pure(vec, da, db):

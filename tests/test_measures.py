@@ -115,6 +115,15 @@ def test_classical_mutual_info_validates_raw_tables():
             classical_mutual_info(bad)
 
 
+def test_state_a_hair_outside_psd_gives_valid_tables_and_mi():
+    # accepted by DensityMatrix (eigenvalue -5e-11 is within PSD_TOL)
+    rho = DensityMatrix(np.diag([0.5 + 5e-11, 0.5, 0.0, -5e-11]), 2, 2)
+    jd = joint_distribution(rho, np.eye(2), np.eye(2))
+    assert classical_mutual_info(jd) >= 0.0
+    assert i_eigenbasis(rho).value >= 0.0
+    assert full_report(rho, OptimizerConfig(restarts=1)).eigenbasis_mi >= 0.0
+
+
 def test_quantum_mutual_info_oracles():
     assert quantum_mutual_info(SINGLET) == pytest.approx(2.0, abs=1e-12)
     a = random_density_matrix(2, 1, rng=as_rng(1))

@@ -3,7 +3,9 @@ import pytest
 
 from qcorr.linalg import as_rng, fourier_matrix, random_unitary
 from qcorr.optimize import (
+    HISTORY,
     OptimizerConfig,
+    _lbfgs_direction,
     isometry_from_params,
     multistart_minimize,
     n_basis_params,
@@ -91,6 +93,7 @@ def test_multistart_finds_quadratic_minimum():
     assert res.value == pytest.approx(0.0, abs=1e-8)
     np.testing.assert_allclose(res.params, 0.7, atol=1e-3)
     assert res.n_starts == 5
+    assert len(res.nfev) == len(res.nit) == 5 and res.status == (0,) * 5 and res.n_converged == 5
 
 
 def test_multistart_is_deterministic_and_monotone_in_restarts():
@@ -113,3 +116,32 @@ def test_multistart_never_beats_an_exact_seed_downward():
         quadratic, [np.full(3, 0.7)], cfg.restarts, 3, lambda rng: rng.uniform(-2, 2, 3), cfg
     )
     assert res.value <= quadratic(np.full(3, 0.7)) + 1e-15
+
+
+def two_loop_direction(g, s_pairs, y_pairs):
+    """-H g by the L-BFGS two-loop recursion, pairs oldest first."""
+    q, alphas = g.copy(), []
+    for s, y in zip(s_pairs[::-1], y_pairs[::-1]):
+        alphas.append(s @ q / (s @ y))
+        q -= alphas[-1] * y
+    r = (s_pairs[-1] @ y_pairs[-1]) / (y_pairs[-1] @ y_pairs[-1]) * q if len(s_pairs) else q
+    for s, y, alpha in zip(s_pairs, y_pairs, alphas[::-1]):
+        r += s * (alpha - y @ r / (s @ y))
+    return -r
+
+
+def test_compact_direction_matches_two_loop_recursion():
+    rng = as_rng(14)
+    n = 7
+    a = rng.standard_normal((n, n))
+    hessian = a @ a.T + np.eye(n)
+    counts = [0, 1, 4, HISTORY]
+    s_hist, y_hist = np.zeros((2, len(counts), HISTORY, n))
+    g = rng.standard_normal((len(counts), n))
+    for row, k in enumerate(counts):
+        s_hist[row, HISTORY - k:] = rng.standard_normal((k, n))
+        y_hist[row, HISTORY - k:] = s_hist[row, HISTORY - k:] @ hessian
+    got = _lbfgs_direction(g, s_hist, y_hist, np.array(counts))
+    for row, k in enumerate(counts):
+        want = two_loop_direction(g[row], s_hist[row, HISTORY - k:], y_hist[row, HISTORY - k:])
+        np.testing.assert_allclose(got[row], want, atol=1e-12 * np.abs(want).max())
