@@ -162,12 +162,16 @@ def _eigvals_of(rho: DensityMatrix | np.ndarray) -> np.ndarray:
         raise InvalidStateError(f"negative eigenvalue {vals[0]:.3e}")
     if abs(vals.sum() - 1.0) > 1e-9:
         raise InvalidStateError(f"trace {vals.sum():.12f} differs from 1")
-    return np.clip(vals, 0.0, None)
+    if vals[0] < 0.0:
+        vals = np.clip(vals, 0.0, None)
+        vals /= vals.sum()
+    return vals
 
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     """Von Neumann entropy in bits.  Eigenvalues in [-1e-10, 0) are clamped
-    to zero; anything more negative raises."""
+    to zero and the rest renormalized to sum to one; anything more negative
+    raises."""
     return shannon_entropy(_eigvals_of(rho))
 
 

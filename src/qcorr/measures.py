@@ -9,6 +9,7 @@ nonclassicality / discord figures are upper estimates.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -318,38 +319,99 @@ def _projective_seed_pairs(rho: DensityMatrix) -> list[tuple[np.ndarray, np.ndar
     return pairs
 
 
-def _basis_chart(d: int):
-    """Rows chart of a projective basis: Givens angles to U^H, with the
-    pullback of a rows gradient (whose adjoint is the gradient in U).  The
-    charts take stacked parameters (..., n) and return stacked rows."""
+@dataclass(frozen=True)
+class _Side:
+    """One party's measurement in a search.
+
+    chart maps stacked parameters (..., n_params) to stacked measurement
+    rows <k_s| and returns them with the pullback of a rows gradient to the
+    parameters; encode maps a seed (a basis unitary for a Givens side, an
+    n_out x d isometry for a QR side) to parameters; random_start draws a
+    start from an rng; povm decodes final parameters.
+    """
+
+    n_params: int
+    chart: Callable
+    encode: Callable
+    random_start: Callable
+    povm: Callable
+
+
+def _basis_side(d: int) -> _Side:
+    """Projective basis on the Givens chart: angles to rows U^H, whose
+    gradient's adjoint is the gradient in U."""
 
     def chart(x):
         u, pull = unitary_from_params_vjp(x, d)
         return adjoint(u), lambda grad_rows: pull(adjoint(grad_rows))
 
-    return chart
+    return _Side(
+        n_basis_params(d), chart, params_from_unitary,
+        lambda rng: params_from_unitary(random_unitary(d, rng)),
+        lambda x: Povm.from_basis(ProjectiveBasis(unitary_from_params(x, d))),
+    )
 
 
-def _isometry_chart(n_out: int, d: int):
-    return lambda x: isometry_from_params_vjp(x, n_out, d)
+def _isometry_side(n_out: int, d: int) -> _Side:
+    """Rank-one POVM with n_out outcomes on the QR chart of an n_out x d
+    complex matrix, so completeness holds exactly by construction."""
+    n = n_isometry_params(n_out, d)
+    return _Side(
+        n, lambda x: isometry_from_params_vjp(x, n_out, d), params_from_isometry,
+        lambda rng: rng.standard_normal(n),
+        lambda x: Povm.from_isometry(isometry_from_params(x, n_out, d)),
+    )
 
 
-def _fixed_chart(rows: np.ndarray):
-    return lambda x: (rows, lambda grad_rows: np.empty(grad_rows.shape[:-2] + (0,)))
+def _fixed_side(povm: Povm) -> _Side:
+    """A given rank-one POVM: no parameters, and any seed encodes to none."""
+
+    def chart(x):
+        return povm.rows, lambda grad_rows: np.empty(x.shape)
+
+    def no_params(_):
+        return np.empty(0)
+
+    return _Side(0, chart, no_params, no_params, lambda x: povm)
 
 
-def _neg_mi_objective(rho_mat: np.ndarray, chart_a, chart_b, n_params_a: int):
-    """-(record mi) and its gradient on the parameters of both sides' charts;
-    the first n_params_a parameters belong to Alice.  Stacked points (S, n)
-    give values (S,) and gradients (S, n)."""
+def _neg_mi_objective(rho_mat: np.ndarray, side_a: _Side, side_b: _Side):
+    """-(record mi) and its gradient on the parameters of both sides'
+    charts, Alice's first.  Stacked points (S, n) give values (S,) and
+    gradients (S, n)."""
+    na = side_a.n_params
 
     def objective(x):
-        rows_a, pull_a = chart_a(x[..., :n_params_a])
-        rows_b, pull_b = chart_b(x[..., n_params_a:])
+        rows_a, pull_a = side_a.chart(x[..., :na])
+        rows_b, pull_b = side_b.chart(x[..., na:])
         value, grad_a, grad_b = _mi_value_grad(rho_mat, rows_a, rows_b)
-        return -value, -np.concatenate([pull_a(grad_a), pull_b(grad_b)], axis=-1)
+        # with both sides fixed the rows carry no batch axis, nor does value
+        return (-np.broadcast_to(value, x.shape[:-1]),
+                -np.concatenate([pull_a(grad_a), pull_b(grad_b)], axis=-1))
 
     return objective
+
+
+def _mi_search(rho: DensityMatrix, side_a: _Side, side_b: _Side, seeds,
+               cfg: OptimizerConfig) -> MiSearchResult:
+    """Multi-start L-BFGS for record mi from the (seed_a, seed_b) pairs
+    and cfg.restarts random starts; the best exact evaluation wins."""
+    na = side_a.n_params
+    res = multistart_minimize(
+        _neg_mi_objective(rho.mat, side_a, side_b),
+        [np.concatenate([side_a.encode(a), side_b.encode(b)]) for a, b in seeds],
+        cfg.restarts,
+        lambda rng: np.concatenate([side_a.random_start(rng), side_b.random_start(rng)]),
+        cfg,
+    )
+    return MiSearchResult(
+        value=-res.value,
+        meas_a=side_a.povm(res.params[:na]),
+        meas_b=side_b.povm(res.params[na:]),
+        converged=res.converged,
+        n_starts=res.n_starts,
+        n_converged=res.n_converged,
+    )
 
 
 def maximize_mi_projective(
@@ -368,36 +430,8 @@ def maximize_mi_projective(
     """
     cfg = cfg or OptimizerConfig()
     _check_opt_dims(rho)
-    da, db = rho.dim_a, rho.dim_b
-    na, nb = n_basis_params(da), n_basis_params(db)
-    objective = _neg_mi_objective(rho.mat, _basis_chart(da), _basis_chart(db), na)
-
-    pairs = _projective_seed_pairs(rho)
-    if extra_seeds:
-        pairs = pairs + [(np.asarray(a), np.asarray(b)) for a, b in extra_seeds]
-    seeds = [
-        np.concatenate([params_from_unitary(ua), params_from_unitary(ub)]) for ua, ub in pairs
-    ]
-
-    def random_start(rng):
-        return np.concatenate(
-            [
-                params_from_unitary(random_unitary(da, rng)),
-                params_from_unitary(random_unitary(db, rng)),
-            ]
-        )
-
-    res = multistart_minimize(objective, seeds, cfg.restarts, na + nb, random_start, cfg, jac=True)
-    ua = unitary_from_params(res.params[:na], da)
-    ub = unitary_from_params(res.params[na:], db)
-    return MiSearchResult(
-        value=-res.value,
-        meas_a=Povm.from_basis(ProjectiveBasis(ua)),
-        meas_b=Povm.from_basis(ProjectiveBasis(ub)),
-        converged=res.converged,
-        n_starts=res.n_starts,
-        n_converged=res.n_converged,
-    )
+    seeds = _projective_seed_pairs(rho) + list(extra_seeds or [])
+    return _mi_search(rho, _basis_side(rho.dim_a), _basis_side(rho.dim_b), seeds, cfg)
 
 
 def _fourier_frame(n_out: int, d: int) -> np.ndarray:
@@ -429,7 +463,7 @@ def maximize_mi_povm(
     Each free side is parameterized by an orthonormalized n_out x d complex
     matrix, so completeness holds exactly by construction.  Structured
     starts embed the projective-search result (the value can only improve
-    on it) and discrete Fourier frames; fixed_a / fixed_b pin one side to a
+    on it) and discrete Fourier frames; fixed_a / fixed_b pin a side to a
     given rank-one POVM.
     """
     cfg = cfg or OptimizerConfig()
@@ -444,45 +478,17 @@ def maximize_mi_povm(
         raise ValueError("fixed measurements must be rank-one (have rows)")
 
     proj = maximize_mi_projective(rho, cfg)
-    ua = proj.meas_a.rows.conj().T
-    ub = proj.meas_b.rows.conj().T
 
-    pa = n_isometry_params(n_out_a, da) if free_a else 0
-    pb = n_isometry_params(n_out_b, db) if free_b else 0
-
-    chart_a = _isometry_chart(n_out_a, da) if free_a else _fixed_chart(fixed_a.rows)
-    chart_b = _isometry_chart(n_out_b, db) if free_b else _fixed_chart(fixed_b.rows)
-    objective = _neg_mi_objective(rho.mat, chart_a, chart_b, pa)
-
-    def side_seeds(u, d, n_out):
+    def side(fixed, meas, n_out, d):
+        if fixed is not None:
+            return _fixed_side(fixed), [None]
+        u = meas.rows.conj().T
         frame = _fourier_frame(n_out, d)
-        return [_embed_basis(u, n_out), frame, frame @ u.conj().T]
+        return _isometry_side(n_out, d), [_embed_basis(u, n_out), frame, frame @ u.conj().T]
 
-    seeds_a = (
-        [params_from_isometry(w) for w in side_seeds(ua, da, n_out_a)]
-        if free_a
-        else [np.empty(0)]
-    )
-    seeds_b = (
-        [params_from_isometry(w) for w in side_seeds(ub, db, n_out_b)]
-        if free_b
-        else [np.empty(0)]
-    )
-    seeds = [np.concatenate([sa, sb]) for sa in seeds_a for sb in seeds_b]
-
-    def random_start(rng):
-        return rng.standard_normal(pa + pb)
-
-    res = multistart_minimize(objective, seeds, cfg.restarts, pa + pb, random_start, cfg, jac=True)
-    ra, rb = chart_a(res.params[:pa])[0], chart_b(res.params[pa:])[0]
-    return MiSearchResult(
-        value=-res.value,
-        meas_a=Povm.from_isometry(ra) if free_a else fixed_a,
-        meas_b=Povm.from_isometry(rb) if free_b else fixed_b,
-        converged=res.converged,
-        n_starts=res.n_starts,
-        n_converged=res.n_converged,
-    )
+    side_a, seeds_a = side(fixed_a, proj.meas_a, n_out_a, da)
+    side_b, seeds_b = side(fixed_b, proj.meas_b, n_out_b, db)
+    return _mi_search(rho, side_a, side_b, [(a, b) for a in seeds_a for b in seeds_b], cfg)
 
 
 def conditional_states_b(rho: DensityMatrix, meas_a) -> list[tuple[float, np.ndarray]]:
@@ -553,16 +559,33 @@ def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
     return value, 2.0 * np.einsum("...iAa,...iA->...ia", z, rows)
 
 
-def _neg_holevo_objective(r4: np.ndarray, chart):
-    """-(conditional-entropy defect) and its gradient on a chart of Alice's
-    measurement rows, for one or stacked points as _neg_mi_objective."""
+def _neg_holevo_objective(r4: np.ndarray, side: _Side):
+    """-(conditional-entropy defect) and its gradient on the chart of
+    Alice's measurement, for one or stacked points as _neg_mi_objective."""
 
     def objective(x):
-        rows, pull = chart(x)
+        rows, pull = side.chart(x)
         value, grad_rows = _holevo_value_grad(r4, rows)
         return -value, -pull(grad_rows)
 
     return objective
+
+
+def _holevo_search(rho: DensityMatrix, side: _Side, seeds,
+                   cfg: OptimizerConfig) -> HolevoSearchResult:
+    """Multi-start L-BFGS for S(B) - sum_i p_i S(rho_B|i) over Alice's side,
+    from the seeds and cfg.restarts random starts."""
+    res = multistart_minimize(_neg_holevo_objective(_r4(rho), side),
+                              [side.encode(seed) for seed in seeds], cfg.restarts,
+                              side.random_start, cfg)
+    # res.value is the minimized -(conditional-entropy defect)
+    return HolevoSearchResult(
+        value=von_neumann_entropy(marginal_mats(rho)[1]) - res.value,
+        meas_a=side.povm(res.params),
+        converged=res.converged,
+        n_starts=res.n_starts,
+        n_converged=res.n_converged,
+    )
 
 
 def classical_correlation_a(
@@ -583,55 +606,16 @@ def classical_correlation_a(
     cfg = cfg or OptimizerConfig()
     _check_opt_dims(rho)
     da = rho.dim_a
-    r4 = _r4(rho)
-    ma, mb = marginal_mats(rho)
-    s_b = von_neumann_entropy(mb)
-    _, va = hermitian_eigen(ma)
-
+    _, va = hermitian_eigen(marginal_mats(rho)[0])
+    bases = [np.eye(da), va] + [np.asarray(u) for u in extra_seeds or []]
     if projective_only:
-        npar = n_basis_params(da)
-        neg_value = _neg_holevo_objective(r4, _basis_chart(da))
-
-        seeds = [np.zeros(npar), params_from_unitary(va)]
-        if extra_seeds:
-            seeds += [params_from_unitary(np.asarray(u)) for u in extra_seeds]
-
-        def random_start(rng):
-            return params_from_unitary(random_unitary(da, rng))
-
-        res = multistart_minimize(neg_value, seeds, cfg.restarts, npar, random_start, cfg, jac=True)
-        meas = Povm.from_basis(ProjectiveBasis(unitary_from_params(res.params, da)))
-    else:
-        n_out = n_out or da * da
-        if n_out < da:
-            raise ValueError(f"n_out must be >= {da}, got {n_out}")
-        npar = n_isometry_params(n_out, da)
-        neg_value = _neg_holevo_objective(r4, _isometry_chart(n_out, da))
-
-        seeds = [
-            params_from_isometry(_embed_basis(np.eye(da), n_out)),
-            params_from_isometry(_embed_basis(va, n_out)),
-            params_from_isometry(_fourier_frame(n_out, da)),
-        ]
-        if extra_seeds:
-            seeds += [
-                params_from_isometry(_embed_basis(np.asarray(u), n_out)) for u in extra_seeds
-            ]
-
-        def random_start(rng):
-            return rng.standard_normal(npar)
-
-        res = multistart_minimize(neg_value, seeds, cfg.restarts, npar, random_start, cfg, jac=True)
-        meas = Povm.from_isometry(isometry_from_params(res.params, n_out, da))
-
-    # res.value is the minimized -(conditional-entropy defect)
-    return HolevoSearchResult(
-        value=s_b - res.value,
-        meas_a=meas,
-        converged=res.converged,
-        n_starts=res.n_starts,
-        n_converged=res.n_converged,
-    )
+        return _holevo_search(rho, _basis_side(da), bases, cfg)
+    n_out = n_out or da * da
+    if n_out < da:
+        raise ValueError(f"n_out must be >= {da}, got {n_out}")
+    seeds = [_embed_basis(u, n_out) for u in bases]
+    seeds.insert(2, _fourier_frame(n_out, da))  # before any extra_seeds
+    return _holevo_search(rho, _isometry_side(n_out, da), seeds, cfg)
 
 
 def _clamp_discord(raw: float) -> float:

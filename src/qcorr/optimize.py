@@ -14,12 +14,12 @@ output together with a function that maps such a gradient on the output to
 the gradient on the real parameters.  Charts and pullbacks broadcast over
 leading axes, so params of shape (S, n) give S stacked outputs.
 
-multistart_minimize with an analytic gradient (jac=True) runs every start
-of a search in lockstep.  The starts are stacked into one (S, n) array and
-each round evaluates the objective once, on the rows still running.  Each
-start is its own L-BFGS: the compact representation with the last HISTORY
-curvature pairs, a backtracking Armijo line search of at most MAX_TRIALS
-trials, and stopping tests on its own row alone, with scipy's status codes:
+multistart_minimize runs every start of a search in lockstep.  The starts
+are stacked into one (S, n) array and each round evaluates the objective
+once, on the rows still running.  Each start is its own L-BFGS: the
+compact representation with the last HISTORY curvature pairs, a
+backtracking Armijo line search of at most MAX_TRIALS trials, and stopping
+tests on its own row alone, with scipy's status codes:
 
 * 0: the largest gradient entry is at most cfg.tolerance, or an accepted
   step lowered the value by a relative FTOL or less;
@@ -27,8 +27,7 @@ trials, and stopping tests on its own row alone, with scipy's status codes:
 * 2: the line search failed.
 
 Since no start's path depends on another's, results are deterministic and
-monotone in the number of restarts.  Value-only objectives (jac=False) run
-scipy's L-BFGS-B start by start, with finite-difference gradients.
+monotone in the number of restarts.
 """
 from __future__ import annotations
 
@@ -37,7 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
+# unused here, but perfbench/tracing.py patches qcorr.optimize.minimize
+from scipy.optimize import minimize  # noqa: F401
 
 from .linalg import adjoint, as_rng
 
@@ -65,10 +65,9 @@ class OptimizerConfig:
     1) and tolerance is its gradient test (status 0 once the largest
     gradient entry is at most tolerance).  A start also stops with status 0
     when a step lowers the value by a relative FTOL = 2.2e-9 or less, a
-    fixed test (about scipy's default ftol) rather than an option.  These
-    hold for the lockstep search and for scipy's L-BFGS-B on value-only
-    objectives alike.  Results are deterministic functions of (problem, seed, restarts)
-    and monotone in restarts.
+    fixed test (about scipy's default ftol) rather than an option.  Results
+    are deterministic functions of (problem, seed, restarts) and monotone in
+    restarts.
     """
 
     restarts: int = 32
@@ -390,16 +389,14 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
         t = np.where(ok, np.where(n_pairs > 0, 1.0, fresh), shrunk)
 
 
-def multistart_minimize(objective, start_points, n_random: int, n_params: int,
-                        random_start, cfg: OptimizerConfig, jac: bool = False) -> SearchResult:
+def multistart_minimize(objective, start_points, n_random: int, random_start,
+                        cfg: OptimizerConfig) -> SearchResult:
     """L-BFGS from every structured start plus n_random seeded random
-    starts; returns the best point found, with every start's record.
+    starts, all in lockstep (see the module docstring); returns the best
+    start, NaN values ranking last, with every start's record.
 
-    With jac=True the objective is batched: given stacked points (S, n) it
-    returns values (S,) and gradients (S, n), and all starts advance in
-    lockstep (see the module docstring).  With jac=False it takes one point
-    and returns its value, and scipy's L-BFGS-B runs start by start with
-    finite-difference gradients.  random_start(rng) must produce a parameter
+    The objective is batched: given stacked points (S, n) it returns values
+    (S,) and gradients (S, n).  random_start(rng) must produce a parameter
     vector.  The random stream for restart k is derived from (cfg.seed, k),
     so results do not depend on evaluation order and are monotone in the
     number of restarts.
@@ -409,26 +406,9 @@ def multistart_minimize(objective, start_points, n_random: int, n_params: int,
         rng = as_rng([cfg.seed, k])
         starts.append(np.asarray(random_start(rng), dtype=float))
     if not starts:
-        x, f, nfev, nit, status = np.zeros((0, n_params)), np.zeros(0), (), (), ()
-    elif jac:
-        x, f, nfev, nit, status = _lockstep_lbfgs(objective, np.stack(starts), cfg)
-    else:
-        runs = [
-            minimize(objective, x0, method="L-BFGS-B",
-                     options={"maxiter": cfg.max_iters, "gtol": cfg.tolerance})
-            for x0 in starts
-        ]
-        x = np.array([res.x for res in runs])
-        f = np.array([res.fun for res in runs], dtype=float)
-        nfev, nit, status = zip(*((res.nfev, res.nit, res.status) for res in runs))
-    records = {key: tuple(int(v) for v in vals)
-               for key, vals in zip(("nfev", "nit", "status"), (nfev, nit, status))}
-    ranked = np.where(np.isnan(f), np.inf, f)
-    if ranked.size and ranked.min() < np.inf:
-        best = int(np.argmin(ranked))
-        return SearchResult(value=float(f[best]), params=x[best], n_starts=len(starts),
-                            converged=records["status"][best] == 0, **records)
-    best_x = np.zeros(n_params)
-    value = objective(best_x[np.newaxis])[0][0] if jac else objective(best_x)
-    return SearchResult(value=float(value), params=best_x, converged=True,
-                        n_starts=len(starts), **records)
+        raise ValueError("multistart_minimize needs at least one start")
+    x, f, nfev, nit, status = _lockstep_lbfgs(objective, np.stack(starts), cfg)
+    best = int(np.argmin(np.where(np.isnan(f), np.inf, f)))
+    return SearchResult(value=float(f[best]), params=x[best], converged=bool(status[best] == 0),
+                        n_starts=len(starts), nfev=tuple(nfev.tolist()), nit=tuple(nit.tolist()),
+                        status=tuple(status.tolist()))

@@ -17,11 +17,11 @@ from qcorr.linalg import (
 from qcorr.measures import (
     Povm,
     ProjectiveBasis,
-    _basis_chart,
+    _basis_side,
     _embed_basis,
-    _fixed_chart,
+    _fixed_side,
     _holevo_value_grad,
-    _isometry_chart,
+    _isometry_side,
     _mi_value_grad,
     _neg_avg_conditional_entropy,
     _neg_holevo_objective,
@@ -106,7 +106,7 @@ def test_holevo_kernel_value_matches_conditional_entropy_path(da, db):
 def test_projective_mi_gradient(da, db):
     rng = as_rng([3, da, db])
     rho = random_density_matrix(da, db, rng=rng)
-    objective = _neg_mi_objective(rho.mat, _basis_chart(da), _basis_chart(db), n_basis_params(da))
+    objective = _neg_mi_objective(rho.mat, _basis_side(da), _basis_side(db))
     # the identity seed has every theta at zero, where the phi directions are flat
     assert_gradient_matches(objective, [
         np.concatenate([random_angles(da, rng), random_angles(db, rng)]),
@@ -121,17 +121,17 @@ def test_povm_mi_gradient_free_and_fixed_sides(da, db):
     rho = random_density_matrix(da, db, rng=rng)
     na, nb = da + 2, db + 1
     pa, pb = n_isometry_params(na, da), n_isometry_params(nb, db)
-    both = _neg_mi_objective(rho.mat, _isometry_chart(na, da), _isometry_chart(nb, db), pa)
+    both = _neg_mi_objective(rho.mat, _isometry_side(na, da), _isometry_side(nb, db))
     seed = np.concatenate([
         params_from_isometry(_embed_basis(np.eye(da), na)),
         params_from_isometry(_embed_basis(np.eye(db), nb)),
     ])
     assert_gradient_matches(both, [rng.standard_normal(pa + pb), seed])
-    fixed_a = _fixed_chart(Povm.from_basis(ProjectiveBasis(random_unitary(da, rng))).rows)
-    fixed_b = _fixed_chart(Povm.random_rank_one(db, nb, rng).rows)
-    assert_gradient_matches(_neg_mi_objective(rho.mat, fixed_a, _isometry_chart(nb, db), 0),
+    fixed_a = _fixed_side(Povm.from_basis(ProjectiveBasis(random_unitary(da, rng))))
+    fixed_b = _fixed_side(Povm.random_rank_one(db, nb, rng))
+    assert_gradient_matches(_neg_mi_objective(rho.mat, fixed_a, _isometry_side(nb, db)),
                             rng.standard_normal((2, pb)))
-    assert_gradient_matches(_neg_mi_objective(rho.mat, _isometry_chart(na, da), fixed_b, pa),
+    assert_gradient_matches(_neg_mi_objective(rho.mat, _isometry_side(na, da), fixed_b),
                             rng.standard_normal((2, pa)))
 
 
@@ -140,10 +140,10 @@ def test_holevo_gradient_projective_and_povm(da, db):
     rng = as_rng([5, da, db])
     rho = random_density_matrix(da, db, rng=rng)
     r4 = rho.mat.reshape(da, db, da, db)
-    projective = _neg_holevo_objective(r4, _basis_chart(da))
+    projective = _neg_holevo_objective(r4, _basis_side(da))
     assert_gradient_matches(projective, [random_angles(da, rng), np.zeros(n_basis_params(da))])
     n_out = da * da
-    povm = _neg_holevo_objective(r4, _isometry_chart(n_out, da))
+    povm = _neg_holevo_objective(r4, _isometry_side(n_out, da))
     assert_gradient_matches(povm, rng.standard_normal((2, n_isometry_params(n_out, da))))
 
 
@@ -152,8 +152,8 @@ def test_multistart_uses_a_supplied_gradient():
         return np.sum((x - 0.7) ** 2, axis=1), 2 * (x - 0.7)
 
     cfg = OptimizerConfig(restarts=2, seed=0)
-    res = multistart_minimize(quadratic_with_gradient, [np.zeros(3)], cfg.restarts, 3,
-                              lambda rng: rng.uniform(-2, 2, 3), cfg, jac=True)
+    res = multistart_minimize(quadratic_with_gradient, [np.zeros(3)], cfg.restarts,
+                              lambda rng: rng.uniform(-2, 2, 3), cfg)
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.converged and res.n_starts == 3
     assert res.status == (0, 0, 0) and res.n_converged == 3
@@ -164,7 +164,7 @@ def test_lockstep_stops_on_relative_decrease():
     def offset_bowl(x):  # stacked points (S, 4)
         return 1e12 + np.sum((x - 0.7) ** 2, axis=1), 2 * (x - 0.7)
 
-    res = multistart_minimize(offset_bowl, [np.zeros(4)], 0, 4, None, OptimizerConfig(), jac=True)
+    res = multistart_minimize(offset_bowl, [np.zeros(4)], 0, None, OptimizerConfig())
     # the first step lowers the value by 1.8, a relative 1.8e-12, while the
     # largest gradient entry is still 0.4
     assert res.status == (0,) and res.nit == (1,)
@@ -174,13 +174,12 @@ def test_lockstep_stops_on_relative_decrease():
 @pytest.mark.parametrize("d", [2, 3])
 def test_lockstep_start_is_the_same_alone_and_in_a_batch(d):
     rho = random_density_matrix(d, d, rng=as_rng([10, d]))
-    na = n_basis_params(d)
     cfg = OptimizerConfig(seed=0)
     cases = [
-        (_neg_mi_objective(rho.mat, _basis_chart(d), _basis_chart(d), na),
+        (_neg_mi_objective(rho.mat, _basis_side(d), _basis_side(d)),
          [np.concatenate([params_from_unitary(random_unitary(d, as_rng([d, k])))
                           for _ in range(2)]) for k in range(5)]),
-        (_neg_holevo_objective(_r4(rho), _isometry_chart(d + 1, d)),
+        (_neg_holevo_objective(_r4(rho), _isometry_side(d + 1, d)),
          as_rng([11, d]).standard_normal((5, n_isometry_params(d + 1, d)))),
     ]
     for objective, starts in cases:

@@ -121,7 +121,10 @@ def test_state_a_hair_outside_psd_gives_valid_tables_and_mi():
     jd = joint_distribution(rho, np.eye(2), np.eye(2))
     assert classical_mutual_info(jd) >= 0.0
     assert i_eigenbasis(rho).value >= 0.0
-    assert full_report(rho, OptimizerConfig(restarts=1)).eigenbasis_mi >= 0.0
+    report = full_report(rho, OptimizerConfig(restarts=1))
+    assert report.eigenbasis_mi >= 0.0
+    assert min(report.entropy_a, report.entropy_b, report.entropy_ab) >= 0.0
+    assert report.mi_projective <= report.quantum_mi + 1e-12
 
 
 def test_quantum_mutual_info_oracles():
@@ -152,6 +155,15 @@ def test_maximize_mi_povm_never_below_projective():
     povm = maximize_mi_povm(rho, 4, 4, LIGHT)
     assert povm.value >= proj.value - 1e-9
     assert povm.meas_a.n_outcomes == 4
+
+
+def test_maximize_mi_povm_with_both_sides_fixed_evaluates_them():
+    rho = random_density_matrix(3, 2, rng=as_rng(22))
+    fixed_a, fixed_b = Povm.random_rank_one(3, 4, rng=1), Povm.random_rank_one(2, 3, rng=2)
+    res = maximize_mi_povm(rho, 4, 3, LIGHT, fixed_a=fixed_a, fixed_b=fixed_b)
+    expected = classical_mutual_info(joint_distribution(rho, fixed_a, fixed_b))
+    assert res.value == pytest.approx(expected, abs=1e-12)
+    assert res.meas_a is fixed_a and res.meas_b is fixed_b and res.converged
 
 
 def test_conditional_states_b_recovers_cq_branches():

@@ -76,8 +76,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=-1)
 
 
-def quadratic(x):
-    return float(np.sum((x - 0.7) ** 2))
+def quadratic(x):  # stacked points (S, n)
+    return np.sum((x - 0.7) ** 2, axis=-1), 2 * (x - 0.7)
 
 
 def test_multistart_finds_quadratic_minimum():
@@ -86,7 +86,6 @@ def test_multistart_finds_quadratic_minimum():
         quadratic,
         start_points=[np.zeros(3)],
         n_random=cfg.restarts,
-        n_params=3,
         random_start=lambda rng: rng.uniform(-2, 2, 3),
         cfg=cfg,
     )
@@ -97,13 +96,13 @@ def test_multistart_finds_quadratic_minimum():
 
 
 def test_multistart_is_deterministic_and_monotone_in_restarts():
-    def bumpy(x):
-        return float(np.sum(x**2) + 0.3 * np.sum(np.cos(5 * x)))
+    def bumpy(x):  # stacked points (S, 2)
+        return np.sum(x**2 + 0.3 * np.cos(5 * x), axis=-1), 2 * x - 1.5 * np.sin(5 * x)
 
     def run(restarts):
         cfg = OptimizerConfig(restarts=restarts, max_iters=200, seed=1)
         return multistart_minimize(
-            bumpy, [np.ones(2)], cfg.restarts, 2, lambda rng: rng.uniform(-3, 3, 2), cfg
+            bumpy, [np.ones(2)], cfg.restarts, lambda rng: rng.uniform(-3, 3, 2), cfg
         ).value
 
     assert run(6) == run(6)
@@ -113,9 +112,22 @@ def test_multistart_is_deterministic_and_monotone_in_restarts():
 def test_multistart_never_beats_an_exact_seed_downward():
     cfg = OptimizerConfig(restarts=3, max_iters=150, seed=2)
     res = multistart_minimize(
-        quadratic, [np.full(3, 0.7)], cfg.restarts, 3, lambda rng: rng.uniform(-2, 2, 3), cfg
+        quadratic, [np.full(3, 0.7)], cfg.restarts, lambda rng: rng.uniform(-2, 2, 3), cfg
     )
-    assert res.value <= quadratic(np.full(3, 0.7)) + 1e-15
+    assert res.value <= quadratic(np.full(3, 0.7))[0] + 1e-15
+
+
+def test_multistart_reports_failed_starts_as_unconverged():
+    def nowhere_finite(x):  # stacked points (S, 2)
+        return np.full(len(x), np.nan), np.full(x.shape, np.nan)
+
+    cfg = OptimizerConfig(restarts=1, seed=0)
+    res = multistart_minimize(nowhere_finite, [np.zeros(2)], cfg.restarts,
+                              lambda rng: rng.uniform(-1, 1, 2), cfg)
+    assert np.isnan(res.value)
+    assert res.status == (2, 2) and not res.converged and res.n_converged == 0
+    with pytest.raises(ValueError):
+        multistart_minimize(quadratic, [], 0, None, cfg)
 
 
 def two_loop_direction(g, s_pairs, y_pairs):
