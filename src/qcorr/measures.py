@@ -58,12 +58,14 @@ XBASIS = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 YBASIS = np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / np.sqrt(2)
 
 
-def _table_mi(table: np.ndarray) -> float:
-    """Mutual information in bits of an unvalidated table; negative round-off
-    entries count as zero and the rest is renormalized to sum to one."""
+def _table_mi(table: np.ndarray) -> np.ndarray:
+    """Mutual information in bits of unvalidated tables (..., n_a, n_b), one
+    value per leading index; negative round-off entries count as zero and
+    the rest of each table is renormalized to sum to one."""
     t = np.maximum(table, 0.0)
-    t = t / t.sum()
-    return float(xlog2x(t).sum() - xlog2x(t.sum(axis=1)).sum() - xlog2x(t.sum(axis=0)).sum())
+    t = t / t.sum(axis=(-2, -1), keepdims=True)
+    return (xlog2x(t).sum(axis=(-2, -1)) - xlog2x(t.sum(axis=-1)).sum(axis=-1)
+            - xlog2x(t.sum(axis=-2)).sum(axis=-1))
 
 
 def _r4(rho: DensityMatrix) -> np.ndarray:
@@ -87,11 +89,12 @@ def _conditional_blocks(r4: np.ndarray, effects: np.ndarray) -> np.ndarray:
 
 
 def _outcome_table(rho: DensityMatrix, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """p[i, s] = <k_s| m_i |k_s> for the rank-one measurements with rows <k_i|
-    and <k_s|, m_i being the conditional blocks of Alice's effects.  One side
-    at a time: O(d^5), no Kronecker product."""
+    """p[..., i, s] = <k_s| m_i |k_s> for the rank-one measurements with rows
+    <k_i| and <k_s|, m_i being the conditional blocks of Alice's effects;
+    leading axes of Alice's row stack are kept.  One side at a time: O(d^5),
+    no Kronecker product."""
     blocks = _conditional_blocks(_r4(rho), _rank_one_effects(rows_a))
-    return np.einsum("sb,ibB,sB->is", rows_b, blocks, rows_b.conj()).real
+    return np.einsum("sb,...ibB,sB->...is", rows_b, blocks, rows_b.conj()).real
 
 
 def _log2_floored(x: np.ndarray) -> np.ndarray:
@@ -228,6 +231,20 @@ def _as_povm(meas) -> Povm:
     return Povm.from_basis(ProjectiveBasis(np.asarray(meas)))
 
 
+def _checked_tables(table) -> np.ndarray:
+    """Outcome tables (..., n_a, n_b) checked as joint distributions: an
+    entry below -PSD_TOL or a table sum off one by more than 1e-9 raises,
+    and the round-off negatives that pass are clipped to zero."""
+    t = np.array(table, dtype=float)
+    if t.min() < -PSD_TOL:
+        raise InvalidStateError(f"negative joint probability {t.min():.3e}")
+    sums = t.sum(axis=(-2, -1)).ravel()
+    worst = sums[np.argmax(np.abs(sums - 1.0))]
+    if abs(worst - 1.0) > 1e-9:
+        raise InvalidStateError(f"joint table sums to {worst:.12f}")
+    return np.clip(t, 0.0, None)
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Outcome table p[i, s] = Tr[(M_i (x) N_s) rho]."""
@@ -235,12 +252,7 @@ class JointDistribution:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.table, dtype=float)
-        if t.min() < -PSD_TOL:
-            raise InvalidStateError(f"negative joint probability {t.min():.3e}")
-        if abs(t.sum() - 1.0) > 1e-9:
-            raise InvalidStateError(f"joint table sums to {t.sum():.12f}")
-        t = np.clip(t, 0.0, None)
+        t = _checked_tables(self.table)
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
@@ -253,19 +265,31 @@ class JointDistribution:
         return self.table.sum(axis=0)
 
 
+def _check_meas_dims(rho: DensityMatrix, dim_a: int, dim_b: int) -> None:
+    if dim_a != rho.dim_a or dim_b != rho.dim_b:
+        raise DimensionMismatchError(
+            f"measurement dims ({dim_a}, {dim_b}) do not match state dims "
+            f"({rho.dim_a}, {rho.dim_b})"
+        )
+
+
+def _raw_tables(rho: DensityMatrix, rows_a, effects_a, pb: Povm) -> np.ndarray:
+    """Unvalidated outcome tables p[..., i, s] of Alice's measurement, or a
+    stack of them, against Bob's POVM.  When both sides are rank-one the
+    rows go through _outcome_table; otherwise the effects are contracted
+    with rho, Alice's built from rows_a when effects_a is None."""
+    if rows_a is not None and pb.rows is not None:
+        return _outcome_table(rho, rows_a, pb.rows)
+    if effects_a is None:
+        effects_a = _rank_one_effects(rows_a)
+    return np.einsum("...iax,sby,xyab->...is", effects_a, pb.effects, _r4(rho)).real
+
+
 def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     """Joint outcome distribution of independent local measurements."""
     pa, pb = _as_povm(meas_a), _as_povm(meas_b)
-    if pa.dim != rho.dim_a or pb.dim != rho.dim_b:
-        raise DimensionMismatchError(
-            f"measurement dims ({pa.dim}, {pb.dim}) do not match state dims "
-            f"({rho.dim_a}, {rho.dim_b})"
-        )
-    if pa.rows is not None and pb.rows is not None:
-        table = _outcome_table(rho, pa.rows, pb.rows)
-    else:
-        table = np.einsum("iax,sby,xyab->is", pa.effects, pb.effects, _r4(rho)).real
-    return JointDistribution(table)
+    _check_meas_dims(rho, pa.dim, pb.dim)
+    return JointDistribution(_raw_tables(rho, pa.rows, pa.effects, pb))
 
 
 def classical_mutual_info(dist) -> float:
@@ -273,7 +297,7 @@ def classical_mutual_info(dist) -> float:
     validated as a JointDistribution first."""
     if not isinstance(dist, JointDistribution):
         dist = JointDistribution(dist)
-    return _table_mi(dist.table)
+    return float(_table_mi(dist.table))
 
 
 def quantum_mutual_info(rho: DensityMatrix) -> float:
@@ -466,7 +490,14 @@ def maximize_mi_povm(
     on it) and discrete Fourier frames; fixed_a / fixed_b pin a side to a
     given rank-one POVM.
     """
-    cfg = cfg or OptimizerConfig()
+    return _mi_povm_search(rho, n_out_a, n_out_b, cfg or OptimizerConfig(), fixed_a, fixed_b)
+
+
+def _mi_povm_search(rho: DensityMatrix, n_out_a: int, n_out_b: int, cfg: OptimizerConfig,
+                    fixed_a: Povm | None = None, fixed_b: Povm | None = None,
+                    proj: MiSearchResult | None = None) -> MiSearchResult:
+    """maximize_mi_povm, seeded from proj when the caller already holds
+    maximize_mi_projective(rho, cfg); otherwise that search runs here."""
     _check_opt_dims(rho)
     da, db = rho.dim_a, rho.dim_b
     free_a, free_b = fixed_a is None, fixed_b is None
@@ -477,7 +508,8 @@ def maximize_mi_povm(
     if (not free_a and fixed_a.rows is None) or (not free_b and fixed_b.rows is None):
         raise ValueError("fixed measurements must be rank-one (have rows)")
 
-    proj = maximize_mi_projective(rho, cfg)
+    if proj is None:
+        proj = maximize_mi_projective(rho, cfg)
 
     def side(fixed, meas, n_out, d):
         if fixed is not None:
@@ -688,7 +720,7 @@ def i_eigenbasis(rho: DensityMatrix) -> EigenbasisMi:
     ma, mb = marginal_mats(rho)
     wa, va = hermitian_eigen(ma)
     wb, vb = hermitian_eigen(mb)
-    value = _table_mi(_outcome_table(rho, va.conj().T, vb.conj().T))
+    value = float(_table_mi(_outcome_table(rho, va.conj().T, vb.conj().T)))
     return EigenbasisMi(value, _degenerate(wa), _degenerate(wb), va, vb)
 
 
@@ -792,7 +824,7 @@ def full_report(
     n_out_a, n_out_b = povm_outcomes or (None, None)
     mi_povm = None
     if povm_outcomes is not None:
-        mi_povm = maximize_mi_povm(rho, n_out_a, n_out_b, cfg).value
+        mi_povm = _mi_povm_search(rho, n_out_a, n_out_b, cfg, proj=proj).value
 
     return CorrelationReport(
         entropy_a=s_a,

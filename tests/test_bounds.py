@@ -11,8 +11,14 @@ from qcorr.bounds import (
     state_independent_bound,
     two_mub_bound,
 )
-from qcorr.linalg import DensityMatrix, UnsupportedDimensionError, as_rng, random_density_matrix
-from qcorr.measures import Povm, ProjectiveBasis
+from qcorr.linalg import (
+    DensityMatrix,
+    DimensionMismatchError,
+    UnsupportedDimensionError,
+    as_rng,
+    random_density_matrix,
+)
+from qcorr.measures import Povm, ProjectiveBasis, classical_mutual_info, joint_distribution
 
 BELL = DensityMatrix(
     np.array([[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]], dtype=complex),
@@ -125,6 +131,43 @@ def test_report_rejects_mismatched_dimensions():
     bob = Povm.from_basis(ProjectiveBasis.computational(2))
     with pytest.raises(UnsupportedDimensionError):
         mub_information_report(BELL, fam, bob)
+
+
+def test_report_rejects_bob_measurement_of_wrong_dimension():
+    fam = mub_family(2, 3)
+    bob = Povm.from_basis(ProjectiveBasis.computational(3))
+    with pytest.raises(DimensionMismatchError):
+        mub_information_report(BELL, fam, bob)
+
+
+def _per_basis_i_values(rho, fam, bob):
+    return tuple(classical_mutual_info(joint_distribution(rho, basis, bob)) for basis in fam.bases)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stacked_report_equals_per_basis_tables(d):
+    fam = mub_family(d, 3 if d == 2 else d + 1)
+    assert fam.rows.shape == (fam.count, d, d)
+    assert not fam.rows.flags.writeable
+    for seed in range(20):
+        rng = as_rng([d, seed, 1])
+        rho = random_density_matrix(d, d, rng=rng)
+        bob = Povm.random_rank_one(d, int(rng.integers(d, d * d + 1)), rng)
+        assert mub_information_report(rho, fam, bob).i_values == _per_basis_i_values(rho, fam, bob)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_report_with_noisy_bob_povm_equals_per_basis_tables(d):
+    fam = mub_family(d, 3 if d == 2 else d + 1)
+    eps = 0.2
+    effects = np.array([(1 - eps) * np.diag(np.eye(d)[k]) + eps * np.eye(d) / d for k in range(d)])
+    bob = Povm(effects)
+    assert bob.rows is None
+    for seed in range(5):
+        rho = random_density_matrix(d, d, rng=as_rng([d, seed, 2]))
+        rep = mub_information_report(rho, fam, bob)
+        assert rep.i_values == _per_basis_i_values(rho, fam, bob)
+        assert all(rep.satisfied.values())
 
 
 def test_random_campaign_never_violates_bounds():

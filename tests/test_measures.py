@@ -13,6 +13,7 @@ from qcorr.measures import (
     JointDistribution,
     Povm,
     ProjectiveBasis,
+    _checked_tables,
     classical_correlation_a,
     classical_mutual_info,
     conditional_states_b,
@@ -78,6 +79,20 @@ def test_joint_distribution_validation_and_marginals():
         JointDistribution(np.array([[0.9, -0.1], [0.1, 0.1]]))
     with pytest.raises(InvalidStateError):
         JointDistribution(np.array([[0.4, 0.4], [0.4, 0.4]]))
+
+
+def test_stacked_table_checks_match_joint_distribution_per_table():
+    good = np.array([[0.5, -5e-11], [0.25, 0.25 + 5e-11]])
+    checked = _checked_tables(np.stack([good, good.T]))
+    assert np.array_equal(checked[0], JointDistribution(good).table)
+    assert np.array_equal(checked[1], JointDistribution(good.T).table)
+    negative = np.array([[0.5, -2e-10], [0.25, 0.25 + 2e-10]])
+    off_sum = np.array([[0.5, 0.0], [0.25, 0.25 + 2e-9]])
+    for bad in (negative, off_sum):
+        with pytest.raises(InvalidStateError):
+            JointDistribution(bad)
+        with pytest.raises(InvalidStateError):
+            _checked_tables(np.stack([good, bad]))
 
 
 def test_joint_distribution_of_singlet_in_matched_bases():
@@ -256,3 +271,20 @@ def test_full_report_with_povm_search():
     assert rep.mi_povm is not None
     assert rep.mi_povm >= rep.mi_projective - 1e-9
     assert rep.to_dict()["povm_outcomes_a"] == 4
+
+
+def test_full_report_runs_the_projective_search_once_with_povm(monkeypatch):
+    import qcorr.measures as measures
+
+    rho = random_density_matrix(3, 3, rng=as_rng(57))
+    expected = maximize_mi_povm(rho, 4, 4, LIGHT).value
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return maximize_mi_projective(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "maximize_mi_projective", counted)
+    rep = full_report(rho, LIGHT, povm_outcomes=(4, 4))
+    assert len(calls) == 1
+    assert rep.mi_povm == expected
