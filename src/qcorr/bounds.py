@@ -16,11 +16,14 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     UnsupportedDimensionError,
+    binary_entropy,
     marginal_mats,
     purity,
     shannon_entropy,
 )
 from .measures import (
+    XBASIS,
+    YBASIS,
     Povm,
     ProjectiveBasis,
     _as_povm,
@@ -42,6 +45,23 @@ def _is_prime(n: int) -> bool:
             return False
         k += 1
     return True
+
+
+def _check_mub_dim(d: int) -> None:
+    """The unbiased-basis sets and their ceilings here cover d = 2 and odd
+    prime d, where a full set has d + 1 bases."""
+    if not (d == 2 or (d % 2 == 1 and _is_prime(d))):
+        raise UnsupportedDimensionError(
+            f"unbiased-basis sets are built for d = 2 or odd prime d, got {d}"
+        )
+
+
+def _floor_k_term(d: int, m: int) -> tuple[int, float]:
+    """k = floor(m d / (d + m - 1)) and the term
+    k ((k + 1)(d + m - 1) / d - m) log2(1 + 1/k) that the floor-k forms of
+    the total-information ceiling and of the entropic floor share."""
+    k = int(np.floor(m * d / (d + m - 1)))
+    return k, k * ((k + 1) * (d + m - 1) / d - m) * np.log2(1 + 1 / k)
 
 
 @dataclass(frozen=True)
@@ -75,23 +95,15 @@ def mub_family(d: int, count: int) -> MubFamily:
     (up to d + 1 bases: computational plus the quadratic-phase bases).
     Other dimensions raise UnsupportedDimensionError.
     """
-    if d == 2:
-        max_count = 3
-    elif d > 2 and _is_prime(d):
-        max_count = d + 1
-    else:
+    _check_mub_dim(d)
+    if not 1 <= count <= d + 1:
         raise UnsupportedDimensionError(
-            f"mub construction supports d = 2 or odd prime d, got {d}"
-        )
-    if not 1 <= count <= max_count:
-        raise UnsupportedDimensionError(
-            f"d = {d} supports between 1 and {max_count} bases, got {count}"
+            f"d = {d} supports between 1 and {d + 1} bases, got {count}"
         )
 
     mats: list[np.ndarray] = [np.eye(d, dtype=np.complex128)]
     if d == 2:
-        mats.append(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2))
-        mats.append(np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / np.sqrt(2))
+        mats += [XBASIS, YBASIS]
     else:
         omega = np.exp(2j * np.pi / d)
         k = np.arange(d)
@@ -121,10 +133,8 @@ def mub_total_bound(dim_a: int, count: int) -> tuple[float, float, int]:
     refinement is the stronger of the two once count exceeds sqrt(d) + 1.
     """
     d, m = dim_a, count
-    k = int(np.floor(m * d / (d + m - 1)))
-    refined = m * np.log2(d / (k + 1)) + k * ((k + 1) * (d + m - 1) / d - m) * np.log2(
-        1 + 1 / k
-    )
+    k, term = _floor_k_term(d, m)
+    refined = m * np.log2(d / (k + 1)) + term
     half = 0.5 * m * np.log2(d)
     return float(refined), float(half), k
 
@@ -132,34 +142,30 @@ def mub_total_bound(dim_a: int, count: int) -> tuple[float, float, int]:
 def purity_total_bound(rho_a: DensityMatrix | np.ndarray, dim_a: int, count: int) -> float:
     """Purity-dependent ceiling on the total record mi over a full set of
     unbiased bases (count = 3 for d = 2, count = d + 1 for odd prime d)."""
+    d = dim_a
+    _check_mub_dim(d)
+    if count != d + 1:
+        raise UnsupportedDimensionError(
+            f"purity bound needs the full set of {d + 1} bases, got count={count}"
+        )
     tr2 = purity(rho_a)
-    if dim_a == 2 and count == 3:
+    if d == 2:
         radius = np.sqrt(max(0.0, (2 * tr2 - 1) / 3))
-        p = (1 + radius) / 2
-        h = shannon_entropy(np.array([p, 1 - p]))
-        return float(3 * h - 2)
-    if _is_prime(dim_a) and dim_a % 2 == 1 and count == dim_a + 1:
-        d = dim_a
-        lead = -(d - 1) * (d * tr2 - 1) * np.log2(d - 1) / (d * (d - 2))
-        return float(lead + (d + 1) * np.log2(2 * d / (d + 1)))
-    raise UnsupportedDimensionError(
-        f"purity bound needs (d=2, count=3) or (odd prime d, count=d+1); "
-        f"got d={dim_a}, count={count}"
-    )
+        return float(3 * binary_entropy((1 + radius) / 2) - 2)
+    # at odd prime d: a purity-dependent lead on top of the state-independent ceiling
+    lead = -(d - 1) * (d * tr2 - 1) * np.log2(d - 1) / (d * (d - 2))
+    return float(lead + state_independent_bound(d)[0])
 
 
 def state_independent_bound(dim_a: int) -> tuple[float, float]:
     """State-independent ceiling for a full unbiased-basis set, plus the
     strict cap dim_a that the total can never reach."""
     d = dim_a
+    _check_mub_dim(d)
     if d == 2:
         value = d + 1 + (d / 2 + 1) * np.log2(d / (d + 2))
-    elif _is_prime(d) and d % 2 == 1:
-        value = (d + 1) * np.log2(2 * d / (d + 1))
     else:
-        raise UnsupportedDimensionError(
-            f"state-independent bound supports d = 2 or odd prime d, got {d}"
-        )
+        value = (d + 1) * np.log2(2 * d / (d + 1))
     return float(value), float(d)
 
 
@@ -167,8 +173,8 @@ def entropic_sum_bound(dim_a: int, count: int) -> float:
     """Lower bound on the summed outcome entropies over `count` unbiased
     bases: the stronger of the floor-k form and (count/2) log2(d)."""
     d, m = dim_a, count
-    k = int(np.floor(m * d / (d + m - 1)))
-    strong = m * np.log2(k + 1) - k * ((k + 1) * (d + m - 1) / d - m) * np.log2(1 + 1 / k)
+    k, term = _floor_k_term(d, m)
+    strong = m * np.log2(k + 1) - term
     return float(max(strong, 0.5 * m * np.log2(d)))
 
 
@@ -177,11 +183,9 @@ def entropic_sum(rho_a: DensityMatrix | np.ndarray, mubs: MubFamily) -> float:
     on a single-system state; raises if the uncertainty floor is violated
     (which would indicate a numerical bug, not physics)."""
     m = rho_a.mat if isinstance(rho_a, DensityMatrix) else np.asarray(rho_a)
-    total = 0.0
-    for basis in mubs.bases:
-        u = basis.vectors
-        probs = np.einsum("ai,ab,bi->i", u.conj(), m, u).real
-        total += shannon_entropy(np.clip(probs, 0.0, None))
+    probs = np.einsum("cia,ab,cib->ci", mubs.rows, m, mubs.rows.conj()).real
+    # the entropies of the bases' distributions sum to the entropy of their stack
+    total = shannon_entropy(np.clip(probs, 0.0, None))
     floor = entropic_sum_bound(mubs.dim, mubs.count)
     if total < floor - BOUND_SLACK:
         raise RuntimeError(

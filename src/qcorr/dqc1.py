@@ -19,18 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, InvalidStateError, as_rng, binary_entropy, xlog2x
+from .linalg import DensityMatrix, InvalidStateError, as_rng, binary_entropy
 from .measures import MiSearchResult, maximize_mi_projective
 from .optimize import OptimizerConfig
 
 MAX_EXPLICIT_N = 6
 MAX_HAAR_N = 11
-
-
-def _h2(p: np.ndarray) -> np.ndarray:
-    # vectorized binary entropy, safe at the endpoints (+ 0.0 turns -0.0 into 0.0)
-    p = np.clip(p, 0.0, 1.0)
-    return -xlog2x(p) - xlog2x(1.0 - p) + 0.0
 
 
 @dataclass(frozen=True)
@@ -127,9 +121,9 @@ def dqc1_quantum_mi(model: Dqc1Model) -> float:
 def _record_mi_curve(model: Dqc1Model, phis: np.ndarray) -> np.ndarray:
     beta = model.alpha * exact_normalized_trace(model)
     along = beta.real * np.cos(phis) + beta.imag * np.sin(phis)
-    first = _h2((1 + along) / 2)
+    first = binary_entropy((1 + along) / 2)
     delta = model.alpha * np.cos(model.phases[:, None] - phis[None, :])
-    return first - _h2((1 + delta) / 2).mean(axis=0)
+    return first - binary_entropy((1 + delta) / 2).mean(axis=0)
 
 
 def dqc1_record_mi(model: Dqc1Model, phi: float) -> float:

@@ -150,9 +150,17 @@ def shannon_entropy(p: np.ndarray) -> float:
     return float(-np.sum(xlog2x(_clean_probs(np.ravel(p)))) + 0.0)
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy in bits of the distribution {p, 1 - p}."""
-    return shannon_entropy(np.array([p, 1.0 - p]))
+def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
+    """Entropy in bits of the distribution {p, 1 - p}, elementwise over an
+    array of p (a float for scalar p).  Round-off outside [0, 1] up to
+    PROB_CLAMP is clipped; anything further out raises."""
+    p = np.asarray(p, dtype=float)
+    if p.size and (p.min() < -PROB_CLAMP or p.max() > 1.0 + PROB_CLAMP):
+        raise InvalidStateError("binary entropy needs p in [0, 1]")
+    p = np.clip(p, 0.0, 1.0)
+    # + 0.0 turns -0.0 into 0.0
+    h = -xlog2x(p) - xlog2x(1.0 - p) + 0.0
+    return float(h) if h.ndim == 0 else h
 
 
 def _eigvals_of(rho: DensityMatrix | np.ndarray) -> np.ndarray:
@@ -187,6 +195,19 @@ def fourier_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
 
 
+def _qr_with_phases(z: np.ndarray):
+    """QR of a matrix, or a stack of them, with the phases ph of R's
+    diagonal folded into Q: returns (Q diag(ph), R, ph).  Q diag(ph) is the
+    Q of the factorization whose R has a positive real diagonal, so an input
+    that already has orthonormal columns comes back unchanged.  A zero
+    diagonal entry gets phase 1."""
+    q, r = np.linalg.qr(z)
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(ph)
+    ph = np.where(mag > 0, ph / np.where(mag > 0, mag, 1.0), 1.0)
+    return q * ph[..., np.newaxis, :], r, ph
+
+
 def random_unitary(dim: int, rng: int | np.random.Generator | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix.
 
@@ -195,10 +216,7 @@ def random_unitary(dim: int, rng: int | np.random.Generator | None = None) -> np
     """
     rng = as_rng(rng)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases[np.newaxis, :]
+    return _qr_with_phases(z)[0]
 
 
 def random_density_matrix(

@@ -39,7 +39,7 @@ import numpy as np
 # unused here, but perfbench/tracing.py patches qcorr.optimize.minimize
 from scipy.optimize import minimize  # noqa: F401
 
-from .linalg import adjoint, as_rng
+from .linalg import _qr_with_phases, adjoint, as_rng
 
 # Lockstep L-BFGS: curvature pairs kept per start, the relative-decrease
 # stopping test (scipy L-BFGS-B's default factr * machine epsilon), the
@@ -208,11 +208,7 @@ def n_isometry_params(n_out: int, d: int) -> int:
 
 def _isometry_qr(params: np.ndarray, n_out: int, d: int):
     z = params[..., : n_out * d] + 1j * params[..., n_out * d :]
-    q, r = np.linalg.qr(z.reshape(z.shape[:-1] + (n_out, d)))
-    ph = np.diagonal(r, axis1=-2, axis2=-1)
-    mag = np.abs(ph)
-    ph = np.where(mag > 0, ph / np.where(mag > 0, mag, 1.0), 1.0)
-    return q * ph[..., np.newaxis, :], r, ph
+    return _qr_with_phases(z.reshape(z.shape[:-1] + (n_out, d)))
 
 
 def isometry_from_params(params: np.ndarray, n_out: int, d: int) -> np.ndarray:

@@ -27,8 +27,9 @@ from .measures import (
     MiSearchResult,
     Povm,
     ProjectiveBasis,
+    _outcome_table,
+    _rank_one_effects,
     classical_mutual_info,
-    joint_distribution,
     maximize_mi_povm,
     maximize_mi_projective,
     quantum_mutual_info,
@@ -64,15 +65,8 @@ def bell_diagonal_probs(r) -> np.ndarray:
 def bell_diagonal_state(r) -> DensityMatrix:
     """Two-qubit state with maximally mixed marginals and diagonal
     correlation tensor r = (r1, r2, r3)."""
-    r1, r2, r3 = (float(v) for v in r)
     bell_diagonal_probs(r)
-    m = (
-        np.eye(4)
-        + r1 * np.kron(PAULI_X, PAULI_X)
-        + r2 * np.kron(PAULI_Y, PAULI_Y)
-        + r3 * np.kron(PAULI_Z, PAULI_Z)
-    ) / 4
-    return DensityMatrix(m, 2, 2)
+    return correlation_tensor_state(np.diag(np.asarray(r, dtype=float)))
 
 
 def bell_diagonal_analytics(r) -> FamilyAnalytics:
@@ -147,6 +141,32 @@ def _check_unbiased(u: np.ndarray, d: int) -> np.ndarray:
     return u
 
 
+def _projectors(basis, n: int) -> np.ndarray:
+    """|v_i><v_i| stacked (n, n, n) for the columns v_i of an n x n basis
+    (computational when None), validated as orthonormal."""
+    vecs = ProjectiveBasis(np.eye(n) if basis is None else basis).vectors
+    if vecs.shape[0] != n:
+        raise DimensionMismatchError(f"basis must be {n}x{n}, got {vecs.shape}")
+    return _rank_one_effects(vecs.conj().T)
+
+
+def _block_state(basis_a, blocks: np.ndarray) -> DensityMatrix:
+    """sum_i |a_i><a_i| (x) blocks[i] over the columns a_i of Alice's basis
+    and Bob's weighted blocks stacked (n, d_b, d_b): one contraction of the
+    projectors with the blocks, no Kronecker product."""
+    n, db = blocks.shape[0], blocks.shape[-1]
+    m = np.einsum("iac,ibd->abcd", _projectors(basis_a, n), blocks)
+    return DensityMatrix(m.reshape(n * db, n * db), n, db)
+
+
+def _labelled_basis_state(u1: np.ndarray) -> DensityMatrix:
+    """Alice holds (t, i) uniformly on 2d levels, Bob holds column i of
+    U_t, with U_0 = I."""
+    d = u1.shape[0]
+    kets = np.concatenate([np.eye(d), u1.T])
+    return _block_state(None, _rank_one_effects(kets.conj()) / (2 * d))
+
+
 def locking_state(d: int, u1: np.ndarray | None = None) -> DensityMatrix:
     """Correlation-locking state on (2d) x d levels.
 
@@ -155,15 +175,7 @@ def locking_state(d: int, u1: np.ndarray | None = None) -> DensityMatrix:
     """
     if d < 2:
         raise DimensionMismatchError(f"d must be >= 2, got {d}")
-    u1 = fourier_matrix(d) if u1 is None else _check_unbiased(u1, d)
-    dim_a = 2 * d
-    m = np.zeros((dim_a * d, dim_a * d), dtype=np.complex128)
-    for t, u in enumerate((np.eye(d, dtype=np.complex128), u1)):
-        for i in range(d):
-            a = t * d + i
-            proj_b = np.outer(u[:, i], u[:, i].conj())
-            m[a * d : (a + 1) * d, a * d : (a + 1) * d] += proj_b / (2 * d)
-    return DensityMatrix(m, dim_a, d)
+    return _labelled_basis_state(fourier_matrix(d) if u1 is None else _check_unbiased(u1, d))
 
 
 def sigma_locking_state(d: int) -> DensityMatrix:
@@ -171,15 +183,7 @@ def sigma_locking_state(d: int) -> DensityMatrix:
     i + t mod d in the computational basis, so one basis fits all t."""
     if d < 2:
         raise DimensionMismatchError(f"d must be >= 2, got {d}")
-    dim_a = 2 * d
-    m = np.zeros((dim_a * d, dim_a * d), dtype=np.complex128)
-    for t in range(2):
-        for i in range(d):
-            a = t * d + i
-            b = (i + t) % d
-            idx = a * d + b
-            m[idx, idx] += 1.0 / (2 * d)
-    return DensityMatrix(m, dim_a, d)
+    return _labelled_basis_state(np.roll(np.eye(d), 1, axis=0))
 
 
 @dataclass(frozen=True)
@@ -205,24 +209,6 @@ class LockingReport:
         return asdict(self)
 
 
-def _conditional_value_state(d: int, u: np.ndarray) -> DensityMatrix:
-    """State of (value register, B) given the basis label: uniform over i of
-    |i><i| x U|i><i|U^dag."""
-    m = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        proj = np.outer(u[:, i], u[:, i].conj())
-        m[i * d : (i + 1) * d, i * d : (i + 1) * d] = proj / d
-    return DensityMatrix(m, d, d)
-
-
-def _sigma_conditional_state(d: int, t: int) -> DensityMatrix:
-    m = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        idx = i * d + (i + t) % d
-        m[idx, idx] = 1.0 / d
-    return DensityMatrix(m, d, d)
-
-
 def locking_demo(
     d: int,
     cfg: OptimizerConfig | None = None,
@@ -231,31 +217,30 @@ def locking_demo(
 ) -> LockingReport:
     """Run the one-bit unlock protocol on a locking-type state.
 
-    The after-announcement value is computed exactly: condition on t, measure
-    the value register computationally and Bob in the basis matched to t,
-    then take the mutual information of the combined (t, i) vs s record.
+    The after-announcement value is computed exactly and read off the
+    state itself: once Alice announces t, Bob measures the basis matched to
+    t (U_t for the locking variant, the computational basis for sigma), so
+    the record is the outcome table of Alice's (t, i) rows against that
+    basis, stacked over t, and its mutual information is the value.
     """
     cfg = cfg or OptimizerConfig()
     if variant == "locking":
-        u1 = fourier_matrix(d) if u1 is None else _check_unbiased(u1, d)
+        u1 = fourier_matrix(d) if u1 is None else np.asarray(u1, dtype=np.complex128)
         rho = locking_state(d, u1)
-        bob_bases = (np.eye(d, dtype=np.complex128), u1)
-        conds = [_conditional_value_state(d, u) for u in bob_bases]
+        bob_bases = (np.eye(d), u1)
     elif variant == "sigma":
         rho = sigma_locking_state(d)
-        bob_bases = (np.eye(d, dtype=np.complex128), np.eye(d, dtype=np.complex128))
-        conds = [_sigma_conditional_state(d, t) for t in range(2)]
+        bob_bases = (np.eye(d), np.eye(d))
     else:
         raise ValueError(f"variant must be 'locking' or 'sigma', got {variant!r}")
 
     smut = quantum_mutual_info(rho)
     best = maximize_mi_projective(rho, cfg)
 
-    blocks = []
-    for cond, ub in zip(conds, bob_bases):
-        jd = joint_distribution(cond, np.eye(d), ub)
-        blocks.append(jd.table / 2.0)
-    after = classical_mutual_info(np.vstack(blocks))
+    after = classical_mutual_info(np.vstack([
+        _outcome_table(rho, np.eye(2 * d)[t * d : (t + 1) * d], u.conj().T)
+        for t, u in enumerate(bob_bases)
+    ]))
 
     return LockingReport(
         variant=variant,
@@ -272,36 +257,33 @@ def locking_demo(
 def classical_quantum_state(
     probs, cond_states, basis: np.ndarray | None = None
 ) -> DensityMatrix:
-    """sum_i p_i |a_i><a_i| x rho_i with {a_i} orthonormal on Alice
-    (computational by default)."""
+    """sum_i p_i |a_i><a_i| x rho_i over the columns a_i of an orthonormal
+    basis on Alice (computational by default), so measuring that basis
+    disturbs nothing and the state has zero discord from Alice's side.
+
+    Raises InvalidStateError unless probs is a distribution and the basis
+    orthonormal, DimensionMismatchError unless the rho_i are one per
+    probability and square of one size and the basis is n x n."""
     p = np.asarray(probs, dtype=float)
     if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
         raise InvalidStateError("probs must be a distribution")
-    n = len(p)
     states = [np.asarray(s, dtype=np.complex128) for s in cond_states]
-    if len(states) != n:
+    if len(states) != len(p):
         raise DimensionMismatchError("need one conditional state per probability")
     db = states[0].shape[0]
-    if basis is None:
-        basis = np.eye(n, dtype=np.complex128)
-    basis = np.asarray(basis, dtype=np.complex128)
-    m = np.zeros((n * db, n * db), dtype=np.complex128)
-    for i in range(n):
-        proj_a = np.outer(basis[:, i], basis[:, i].conj())
-        m += p[i] * np.kron(proj_a, states[i])
-    return DensityMatrix(m, n, db)
+    if any(s.shape != (db, db) for s in states):
+        raise DimensionMismatchError(
+            f"conditional states must all be {db}x{db}, got {[s.shape for s in states]}"
+        )
+    return _block_state(basis, p[:, np.newaxis, np.newaxis] * np.stack(states))
 
 
 def trine_state() -> DensityMatrix:
     """Uniform mixture of |i><i| x |phi_i><phi_i| with the three trine
     directions in the x-z plane of the Bloch sphere."""
-    kets = []
-    for i in range(3):
-        beta = 2 * np.pi * i / 3
-        kets.append(np.array([np.cos(beta / 2), np.sin(beta / 2)], dtype=np.complex128))
-    return classical_quantum_state(
-        np.full(3, 1 / 3), [np.outer(k, k.conj()) for k in kets]
-    )
+    beta = 2 * np.pi * np.arange(3) / 3
+    kets = np.stack([np.cos(beta / 2), np.sin(beta / 2)], axis=1)
+    return classical_quantum_state(np.full(3, 1 / 3), _rank_one_effects(kets))
 
 
 def trine_bloch_vectors() -> np.ndarray:
@@ -332,9 +314,7 @@ def trine_projective_grid(n_points: int = 10_000) -> tuple[float, float, float]:
     joint_minus = (1 - cond_plus) / 3
     cells = np.concatenate([joint_plus, joint_minus], axis=0)  # (6, G)
     h_joint = -xlog2x(cells).sum(axis=0)
-    pb = joint_plus.sum(axis=0)
-    h_b = -xlog2x(pb) - xlog2x(1 - pb)
-    mi = np.log2(3.0) + h_b - h_joint
+    mi = np.log2(3.0) + binary_entropy(joint_plus.sum(axis=0)) - h_joint
     k = int(np.argmax(mi))
     return float(mi[k]), float(tt.ravel()[k]), float(pp.ravel()[k])
 
@@ -359,16 +339,4 @@ def biorthogonal_state(
         raise DimensionMismatchError(f"p must be a 2d table, got shape {p.shape}")
     if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
         raise InvalidStateError("p must be a joint distribution")
-    da, db = p.shape
-    ua = np.eye(da, dtype=np.complex128) if basis_a is None else np.asarray(basis_a)
-    ub = np.eye(db, dtype=np.complex128) if basis_b is None else np.asarray(basis_b)
-    ProjectiveBasis(ua)
-    ProjectiveBasis(ub)
-    m = np.zeros((da * db, da * db), dtype=np.complex128)
-    for i in range(da):
-        pa = np.outer(ua[:, i], ua[:, i].conj())
-        for j in range(db):
-            if p[i, j] > 0:
-                pb = np.outer(ub[:, j], ub[:, j].conj())
-                m += p[i, j] * np.kron(pa, pb)
-    return DensityMatrix(m, da, db)
+    return _block_state(basis_a, np.einsum("ij,jbd->ibd", p, _projectors(basis_b, p.shape[1])))

@@ -118,6 +118,15 @@ def test_binary_entropy_endpoints():
     assert binary_entropy(1.0) == 0.0
 
 
+def test_binary_entropy_takes_arrays_and_rejects_non_probabilities():
+    p = np.array([[0.0, 0.25], [0.5, 1.0]])
+    h = binary_entropy(p)
+    assert h.shape == (2, 2)
+    assert h.tolist() == [[binary_entropy(float(x)) for x in row] for row in p]
+    with pytest.raises(InvalidStateError):
+        binary_entropy(np.array([0.5, 1.1]))
+
+
 def test_von_neumann_entropy_pure_and_mixed():
     pure = DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex), 2, 2)
     assert von_neumann_entropy(pure) == 0.0

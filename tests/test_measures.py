@@ -61,6 +61,8 @@ def test_povm_rejects_bad_effect_sets():
     neg = np.stack([np.diag([1.5, 1.0]).astype(complex), np.diag([-0.5, 0.0]).astype(complex)])
     with pytest.raises(InvalidStateError):
         Povm(neg)
+    with pytest.raises(InvalidStateError):
+        Povm.from_isometry(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))  # W^H W = diag(1, 2)
 
 
 def test_povm_random_rank_one_is_valid_and_seeded():

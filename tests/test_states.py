@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from qcorr.linalg import DensityMatrix, InvalidStateError, partial_trace, von_neumann_entropy
+from qcorr.linalg import (
+    DensityMatrix,
+    DimensionMismatchError,
+    InvalidStateError,
+    fourier_matrix,
+    partial_trace,
+    random_density_matrix,
+    random_unitary,
+    von_neumann_entropy,
+)
 from qcorr.measures import (
     ProjectiveBasis,
     joint_distribution,
@@ -27,6 +36,10 @@ from qcorr.states import (
 )
 
 LIGHT = OptimizerConfig(restarts=4, max_iters=250, seed=0)
+
+
+def _column_projectors(u):
+    return [np.outer(u[:, i], u[:, i].conj()) for i in range(u.shape[1])]
 
 
 def test_bell_diagonal_probs_and_state_spectrum():
@@ -152,6 +165,48 @@ def test_classical_quantum_state_construction():
         classical_quantum_state([0.5, 0.6], [sigma0, sigma1])
 
 
+def test_classical_quantum_state_rejects_skew_basis_and_mixed_shapes():
+    halves = [np.eye(2) / 2, np.diag([1.0, 0.0])]
+    with pytest.raises(InvalidStateError):
+        classical_quantum_state([0.5, 0.5], halves, basis=[[1, np.sqrt(0.5)], [0, np.sqrt(0.5)]])
+    with pytest.raises(DimensionMismatchError):
+        classical_quantum_state([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_block_state_builders_match_explicit_kron_sums(d):
+    rng = np.random.default_rng(d)
+    label = _column_projectors(np.eye(2 * d))
+    phases = [np.diag(np.exp(2j * np.pi * rng.random(d))) for _ in range(2)]
+    u1 = phases[0] @ fourier_matrix(d) @ phases[1]  # unbiased, not the Fourier basis
+    for u, rho in [
+        (fourier_matrix(d), locking_state(d)),
+        (u1, locking_state(d, u1)),
+        (np.roll(np.eye(d), 1, axis=0), sigma_locking_state(d)),
+    ]:
+        bob = _column_projectors(np.eye(d)) + _column_projectors(u)
+        want = sum(np.kron(pa, pb) / (2 * d) for pa, pb in zip(label, bob))
+        np.testing.assert_allclose(rho.mat, want, rtol=0, atol=1e-15)
+
+    ua, ub = random_unitary(d, rng), random_unitary(d + 1, rng)
+    table = rng.random((d, d + 1))
+    table /= table.sum()
+    want = sum(
+        table[i, j] * np.kron(pa, pb)
+        for i, pa in enumerate(_column_projectors(ua))
+        for j, pb in enumerate(_column_projectors(ub))
+    )
+    np.testing.assert_allclose(biorthogonal_state(table, ua, ub).mat, want, rtol=0, atol=1e-15)
+
+    probs = rng.random(d)
+    probs /= probs.sum()
+    conds = [random_density_matrix(d + 1, 1, rng=rng).mat for _ in range(d)]
+    basis = random_unitary(d, rng)
+    want = sum(q * np.kron(pa, c) for q, pa, c in zip(probs, _column_projectors(basis), conds))
+    rho = classical_quantum_state(probs, conds, basis)
+    np.testing.assert_allclose(rho.mat, want, rtol=0, atol=1e-15)
+
+
 def test_trine_bloch_vectors_are_coplanar_at_120_degrees():
     vecs = trine_bloch_vectors()
     assert vecs.shape == (3, 3)
@@ -164,6 +219,10 @@ def test_trine_bloch_vectors_are_coplanar_at_120_degrees():
 def test_trine_state_marginal_is_maximally_mixed_on_the_label():
     rho = trine_state()
     assert (rho.dim_a, rho.dim_b) == (3, 2)
+    beta = 2 * np.pi * np.arange(3) / 3
+    kets = [np.array([np.cos(b / 2), np.sin(b / 2)]) for b in beta]
+    want = sum(np.kron(pa, np.outer(k, k)) / 3 for pa, k in zip(_column_projectors(np.eye(3)), kets))
+    np.testing.assert_allclose(rho.mat, want, rtol=0, atol=1e-15)
     np.testing.assert_allclose(partial_trace(rho, "A").mat, np.eye(3) / 3, atol=1e-12)
     np.testing.assert_allclose(partial_trace(rho, "B").mat, np.eye(2) / 2, atol=1e-12)
 
