@@ -98,6 +98,16 @@ def _dims_list(text: str) -> list[int]:
     return dims
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def cmd_analyze(args) -> int:
     rho = load_state(args.state_file)
     report = full_report(rho, _config_from(args))
@@ -266,13 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("werner-scan", help="closed-form scan of the swap-mixture family (CSV)")
     p.add_argument("--dims", type=_dims_list, default=[2, 3, 10], help="comma-separated d list")
-    p.add_argument("--alpha-steps", type=int, default=101)
+    p.add_argument("--alpha-steps", type=_positive_int, default=101)
     _add_common(p)
     p.set_defaults(func=cmd_werner_scan)
 
     p = sub.add_parser("dqc1-scan", help="polarization scan of the one-clean-qubit model (CSV)")
     p.add_argument("--dims", type=int, default=10, help="work-register qubit count")
-    p.add_argument("--alpha-steps", type=int, default=101)
+    p.add_argument("--alpha-steps", type=_positive_int, default=101)
     p.add_argument("--phase-model", choices=["uniform", "haar"], default="uniform")
     _add_common(p)
     p.set_defaults(func=cmd_dqc1_scan)

@@ -11,6 +11,18 @@ between the two curves is the nonclassical share of the correlations,
 which stays positive for every alpha > 0 even though the control ends the
 circuit unentangled.
 
+The record-information curve has period pi in the azimuth (phi -> phi + pi
+flips the sign of every binary-entropy argument's offset, and h((1+x)/2)
+is even in x), so an even azimuth grid is evaluated on its first half
+only; an odd grid has no coinciding folded points and is kept whole.  One
+private kernel maximizes the curve for a whole array of polarizations: the
+cosine table and the normalized trace are built once, the grid argmax runs
+one polarization at a time, and every best grid point is polished in one
+lockstep golden-section batch whose round count depends only on the grid.
+The polish keeps the best value it has seen, so no maximum is below the
+best grid value, and a scan row equals the single-polarization call
+bitwise.
+
 All entropies are in bits.
 """
 from __future__ import annotations
@@ -25,6 +37,9 @@ from .optimize import OptimizerConfig
 
 MAX_EXPLICIT_N = 6
 MAX_HAAR_N = 11
+# azimuth grid points over 2 pi, and the final bracket width of the polish
+_GRID = 720
+_POLISH_XTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,42 +133,86 @@ def dqc1_quantum_mi(model: Dqc1Model) -> float:
     return binary_entropy((1 + beta) / 2) - binary_entropy((1 + model.alpha) / 2)
 
 
-def _record_mi_curve(model: Dqc1Model, phis: np.ndarray) -> np.ndarray:
-    beta = model.alpha * exact_normalized_trace(model)
+def _cos_table(phases: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """cos(theta_s - phi_k), one row per azimuth phi_k."""
+    return np.cos(phases[None, :] - phis[:, None])
+
+
+def _record_mi_curve(alpha, beta, phis: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Record information at each azimuth in phis, given the polarization
+    alpha, beta = alpha times the normalized trace, and the matching rows of
+    `_cos_table`; alpha and beta broadcast against phis."""
     along = beta.real * np.cos(phis) + beta.imag * np.sin(phis)
     first = binary_entropy((1 + along) / 2)
-    delta = model.alpha * np.cos(model.phases[:, None] - phis[None, :])
-    return first - binary_entropy((1 + delta) / 2).mean(axis=0)
+    return first - binary_entropy((1 + alpha * table) / 2).mean(axis=-1)
+
+
+def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int) -> np.ndarray:
+    """Best record information over the azimuth at each polarization in
+    alphas, for the eigenphases of `model` (its own alpha is not used).
+
+    Every bracket shrinks in the same golden-section round, one
+    (alphas, 2**n) evaluation each; the round count depends on the grid
+    alone, so an alpha's result does not depend on the batch it is in.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    betas = alphas * exact_normalized_trace(model)
+    phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
+    table = _cos_table(model.phases, phis)
+    best = np.empty_like(alphas)
+    centre = np.empty_like(alphas)
+    for i, (alpha, beta) in enumerate(zip(alphas, betas)):
+        values = _record_mi_curve(alpha, beta, phis, table)
+        k = int(np.argmax(values))
+        best[i], centre[i] = values[k], phis[k]
+
+    def curve(phi):
+        return _record_mi_curve(alphas[:, None], betas, phi, _cos_table(model.phases, phi))
+
+    step = 2 * np.pi / grid
+    shrink = (np.sqrt(5) - 1) / 2
+    rounds = int(np.ceil(np.log(_POLISH_XTOL / (2 * step)) / np.log(shrink)))
+    lo, hi = centre - step, centre + step
+    inner_lo, inner_hi = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f_lo, f_hi = curve(inner_lo), curve(inner_hi)
+    best = np.maximum(best, np.maximum(f_lo, f_hi))
+    for _ in range(rounds):
+        # keep [lo, inner_hi] where the lower inner point is better
+        left = f_lo > f_hi
+        lo = np.where(left, lo, inner_lo)
+        hi = np.where(left, inner_hi, hi)
+        probe = np.where(left, hi - shrink * (hi - lo), lo + shrink * (hi - lo))
+        f_probe = curve(probe)
+        best = np.maximum(best, f_probe)
+        inner_lo, inner_hi = np.where(left, probe, inner_hi), np.where(left, inner_lo, probe)
+        f_lo, f_hi = np.where(left, f_probe, f_hi), np.where(left, f_lo, f_probe)
+    return best
 
 
 def dqc1_record_mi(model: Dqc1Model, phi: float) -> float:
     """Record information when the control is read out along the
     equatorial direction phi and the register in its eigenbasis."""
-    return float(_record_mi_curve(model, np.array([phi]))[0])
+    phis = np.array([phi], dtype=float)
+    beta = model.alpha * exact_normalized_trace(model)
+    return float(_record_mi_curve(model.alpha, beta, phis, _cos_table(model.phases, phis))[0])
 
 
-def dqc1_max_record_mi(model: Dqc1Model, grid: int = 720) -> float:
+def dqc1_max_record_mi(model: Dqc1Model, grid: int = _GRID) -> float:
     """Best record information over the control azimuth.
 
-    Scans a phase grid and polishes the best point with a bounded scalar
-    search; the result is never below the best grid value.
+    The curve has period pi, so an even grid evaluates only its points
+    below pi, which are all of its points modulo pi; an odd grid's points
+    do not fold onto each other and are all kept.  The best grid point is
+    polished by golden section within one grid step on either side to a
+    bracket of 1e-12 rad, and the best value seen is returned, so the
+    result is never below the best grid value.  `dqc1_scan` runs the same
+    search for all its polarizations in one batch, with bitwise equal
+    results.
     """
-    from scipy.optimize import minimize_scalar
-
-    phis = 2 * np.pi * np.arange(grid) / grid
-    values = _record_mi_curve(model, phis)
-    best = int(np.argmax(values))
-    step = 2 * np.pi / grid
-    res = minimize_scalar(
-        lambda phi: -dqc1_record_mi(model, phi),
-        bounds=(phis[best] - step, phis[best] + step),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(max(values[best], -res.fun))
+    return float(_max_record_mi(model, np.array([model.alpha]), grid)[0])
 
 
-def dqc1_nonclassicality(model: Dqc1Model, grid: int = 720) -> float:
+def dqc1_nonclassicality(model: Dqc1Model, grid: int = _GRID) -> float:
     """Share of the mutual information no record can capture."""
     return dqc1_quantum_mi(model) - dqc1_max_record_mi(model, grid)
 
@@ -183,24 +242,20 @@ def dqc1_scan(
     grid, "haar" for a seeded Haar-random unitary (drawn once, shared by
     every point).
     """
+    if alpha_steps < 1:
+        raise ValueError(f"need at least one polarization step, got {alpha_steps}")
     if phase_model == "uniform":
-        phases = Dqc1Model.uniform(n, 0.0).phases
+        base = Dqc1Model.uniform(n, 0.0)
     elif phase_model == "haar":
-        phases = Dqc1Model.haar(n, 0.0, seed).phases
+        base = Dqc1Model.haar(n, 0.0, seed)
     else:
         raise ValueError(f"unknown phase model {phase_model!r}")
+    alphas = np.linspace(0.0, 1.0, alpha_steps)
     points = []
-    for alpha in np.linspace(0.0, 1.0, alpha_steps):
-        model = Dqc1Model(n=n, alpha=float(alpha), phases=phases)
-        smut = dqc1_quantum_mi(model)
-        best = dqc1_max_record_mi(model)
+    for alpha, best in zip(alphas.tolist(), _max_record_mi(base, alphas, _GRID).tolist()):
+        smut = dqc1_quantum_mi(Dqc1Model(n=n, alpha=alpha, phases=base.phases))
         points.append(
-            Dqc1Point(
-                alpha=float(alpha),
-                quantum_mi=smut,
-                max_record_mi=best,
-                nonclassicality=smut - best,
-            )
+            Dqc1Point(alpha=alpha, quantum_mi=smut, max_record_mi=best, nonclassicality=smut - best)
         )
     return points
 

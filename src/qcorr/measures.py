@@ -141,7 +141,7 @@ class ProjectiveBasis:
     def __post_init__(self):
         v = np.array(self.vectors, dtype=np.complex128)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"basis must be a square matrix, got {v.shape}")
+            raise DimensionMismatchError(f"basis must be a square matrix, got {v.shape}")
         gram = v.conj().T @ v
         if np.max(np.abs(gram - np.eye(v.shape[0]))) > 1e-9:
             raise InvalidStateError("basis columns are not orthonormal")

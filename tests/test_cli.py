@@ -73,6 +73,15 @@ def test_dqc1_scan_schema_and_reproducibility():
     assert lines[1].split(",")[3] == "0.0"
 
 
+@pytest.mark.parametrize("command", ["dqc1-scan", "werner-scan"])
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_scans_reject_nonpositive_alpha_steps(command, steps):
+    proc = run_cli(command, "--dims", "3", "--alpha-steps", steps)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--alpha-steps: expected a positive integer" in proc.stderr
+
+
 def test_out_flag_writes_identical_bytes(tmp_path):
     out = tmp_path / "scan.csv"
     to_file = run_cli("werner-scan", "--dims", "2", "--alpha-steps", "3", "--out", str(out))

@@ -171,6 +171,8 @@ def test_classical_quantum_state_rejects_skew_basis_and_mixed_shapes():
         classical_quantum_state([0.5, 0.5], halves, basis=[[1, np.sqrt(0.5)], [0, np.sqrt(0.5)]])
     with pytest.raises(DimensionMismatchError):
         classical_quantum_state([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3])
+    with pytest.raises(DimensionMismatchError):
+        classical_quantum_state([0.5, 0.5], [np.eye(2) / 2] * 2, basis=np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
