@@ -90,10 +90,15 @@ def test_record_mi_matches_measured_explicit_state():
         (3, "uniform", 0.6),
         (3, "uniform", 1.0),
         (3, "haar", 0.6),
-        # every start stops on the relative FTOL test 1.43e-8 bits short of
-        # the closed form; more restarts or a tighter gradient tolerance do
-        # not close it
-        pytest.param(3, "haar", 1.0, marks=pytest.mark.xfail(strict=True)),
+        pytest.param(
+            3, "haar", 1.0,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="every start of the numeric search ends 1.43e-8 bits short; "
+                "more restarts, a tighter gradient tolerance or more iterations "
+                "do not close the gap",
+            ),
+        ),
         (4, "haar", 0.9),
     ],
 )
