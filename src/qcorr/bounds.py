@@ -29,7 +29,8 @@ from .measures import (
     _as_povm,
     _check_meas_dims,
     _checked_tables,
-    _raw_tables,
+    _outcome_table,
+    _rank_one_effects,
     _table_mi,
 )
 
@@ -241,7 +242,7 @@ def mub_information_report(
         )
     bob = _as_povm(bob_povm)
     _check_meas_dims(rho, mubs.dim, bob.dim)
-    tables = _checked_tables(_raw_tables(rho, mubs.rows, None, bob))
+    tables = _checked_tables(_outcome_table(rho, _rank_one_effects(mubs.rows), bob.effects))
     i_values = tuple(float(v) for v in _table_mi(tables))
     i_total = float(sum(i_values))
     if mubs.count >= 2:

@@ -31,12 +31,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, InvalidStateError, as_rng, binary_entropy
+from .linalg import (
+    DensityMatrix,
+    InvalidStateError,
+    UnsupportedDimensionError,
+    as_rng,
+    binary_entropy,
+)
 from .measures import MiSearchResult, maximize_mi_projective
 from .optimize import OptimizerConfig
 
 MAX_EXPLICIT_N = 6
 MAX_HAAR_N = 11
+# a scan holds a (grid / 2) x 2**n float table and temporaries: 1.2 GB at n = 16
+MAX_SCAN_N = 16
 # azimuth grid points over 2 pi, and the final bracket width of the polish
 _GRID = 720
 _POLISH_XTOL = 1e-12
@@ -240,8 +248,12 @@ def dqc1_scan(
 
     phase_model picks the eigenphase list: "uniform" for the evenly spaced
     grid, "haar" for a seeded Haar-random unitary (drawn once, shared by
-    every point).
+    every point).  Registers above MAX_SCAN_N qubits raise
+    UnsupportedDimensionError before any phase array is built.
     """
+    if n > MAX_SCAN_N:
+        raise UnsupportedDimensionError(
+            f"a scan holds {_GRID // 2} x 2**n floats; capped at n={MAX_SCAN_N}, got n={n}")
     if alpha_steps < 1:
         raise ValueError(f"need at least one polarization step, got {alpha_steps}")
     if phase_model == "uniform":

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -89,13 +91,13 @@ def _conditional_blocks(r4: np.ndarray, effects: np.ndarray) -> np.ndarray:
     return blocks.reshape(blocks.shape[:-1] + (db, db))
 
 
-def _outcome_table(rho: DensityMatrix, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """p[..., i, s] = <k_s| m_i |k_s> for the rank-one measurements with rows
-    <k_i| and <k_s|, m_i being the conditional blocks of Alice's effects;
-    leading axes of Alice's row stack are kept.  One side at a time: O(d^5),
-    no Kronecker product."""
-    blocks = _conditional_blocks(_r4(rho), _rank_one_effects(rows_a))
-    return np.einsum("sb,...ibB,sB->...is", rows_b, blocks, rows_b.conj()).real
+def _outcome_table(rho: DensityMatrix, effects_a: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
+    """Unvalidated outcome tables p[..., i, s] = Tr[N_s m_i], m_i being the
+    conditional blocks of Alice's effects M_i and N_s Bob's effects; leading
+    axes of Alice's effect stack are kept.  One side at a time: O(d^5), no
+    Kronecker product."""
+    blocks = _conditional_blocks(_r4(rho), effects_a)
+    return np.einsum("sBb,...ibB->...is", effects_b, blocks).real
 
 
 def _log2_floored(x: np.ndarray) -> np.ndarray:
@@ -166,7 +168,8 @@ class Povm:
     """Measurement with effects stacked in an (n_out, d, d) array.
 
     rows holds <k_s| for rank-one measurements (one row per outcome) and is
-    None otherwise.
+    None otherwise; given rows must be (n_out, d) and give the effects
+    |k_s><k_s| to within the identity-sum tolerance.
     """
 
     effects: np.ndarray
@@ -186,6 +189,11 @@ class Povm:
         object.__setattr__(self, "effects", e)
         if self.rows is not None:
             r = np.array(self.rows, dtype=np.complex128)
+            if r.shape != e.shape[:2]:
+                raise DimensionMismatchError(f"rows must be {e.shape[:2]}, got {r.shape}")
+            gap = np.abs(_rank_one_effects(r) - e).max()
+            if gap > 1e-9:
+                raise InvalidStateError(f"rows differ from the effects by {gap:.3e}")
             r.flags.writeable = False
             object.__setattr__(self, "rows", r)
 
@@ -270,23 +278,11 @@ def _check_meas_dims(rho: DensityMatrix, dim_a: int, dim_b: int) -> None:
         )
 
 
-def _raw_tables(rho: DensityMatrix, rows_a, effects_a, pb: Povm) -> np.ndarray:
-    """Unvalidated outcome tables p[..., i, s] of Alice's measurement, or a
-    stack of them, against Bob's POVM.  When both sides are rank-one the
-    rows go through _outcome_table; otherwise the effects are contracted
-    with rho, Alice's built from rows_a when effects_a is None."""
-    if rows_a is not None and pb.rows is not None:
-        return _outcome_table(rho, rows_a, pb.rows)
-    if effects_a is None:
-        effects_a = _rank_one_effects(rows_a)
-    return np.einsum("...iax,sby,xyab->...is", effects_a, pb.effects, _r4(rho)).real
-
-
 def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     """Joint outcome distribution of independent local measurements."""
     pa, pb = _as_povm(meas_a), _as_povm(meas_b)
     _check_meas_dims(rho, pa.dim, pb.dim)
-    return JointDistribution(_raw_tables(rho, pa.rows, pa.effects, pb))
+    return JointDistribution(_outcome_table(rho, pa.effects, pb.effects))
 
 
 def classical_mutual_info(dist) -> float:
@@ -396,43 +392,47 @@ def _fixed_side(povm: Povm) -> _Side:
     return _Side(0, chart, no_params, no_params, lambda x: povm)
 
 
-def _neg_mi_objective(rho_mat: np.ndarray, side_a: _Side, side_b: _Side):
-    """-(record mi) and its gradient on the parameters of both sides'
-    charts, Alice's first.  Stacked points (S, n) give values (S,) and
+def _param_slices(sides: tuple[_Side, ...]) -> list[slice]:
+    """Each side's slice of the parameter vector, sides concatenated in order."""
+    cuts = list(accumulate((side.n_params for side in sides), initial=0))
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _objective(kernel: Callable, sides: tuple[_Side, ...]):
+    """-kernel and its gradient on the parameters of the sides' charts.
+    kernel takes one row stack per side and returns the value and one rows
+    gradient per side.  Stacked points (S, n) give values (S,) and
     gradients (S, n)."""
-    na = side_a.n_params
+    parts = list(zip(sides, _param_slices(sides)))
 
     def objective(x):
-        rows_a, pull_a = side_a.chart(x[..., :na])
-        rows_b, pull_b = side_b.chart(x[..., na:])
-        value, grad_a, grad_b = _mi_value_grad(rho_mat, rows_a, rows_b)
-        # with both sides fixed the rows carry no batch axis, nor does value
+        charts = [side.chart(x[..., part]) for side, part in parts]
+        value, *grads = kernel(*(rows for rows, _ in charts))
+        # with every side fixed the rows carry no batch axis, nor does value
         return (-np.broadcast_to(value, x.shape[:-1]),
-                -np.concatenate([pull_a(grad_a), pull_b(grad_b)], axis=-1))
+                -np.concatenate([pull(g) for (_, pull), g in zip(charts, grads)], axis=-1))
 
     return objective
 
 
-def _mi_search(rho: DensityMatrix, side_a: _Side, side_b: _Side, seeds,
-               cfg: OptimizerConfig) -> MiSearchResult:
-    """Multi-start L-BFGS for record mi from the (seed_a, seed_b) pairs
-    and cfg.restarts random starts; the best exact evaluation wins."""
-    na = side_a.n_params
+def _search(kernel: Callable, sides: tuple[_Side, ...], seeds, cfg: OptimizerConfig):
+    """Multi-start L-BFGS maximizing kernel over the sides' measurements,
+    from the seeds (one entry per side each) and cfg.restarts random
+    starts.  Returns the SearchResult, whose value is the minimized
+    -kernel, and the best start's measurement on each side."""
     res = multistart_minimize(
-        _neg_mi_objective(rho.mat, side_a, side_b),
-        [np.concatenate([side_a.encode(a), side_b.encode(b)]) for a, b in seeds],
+        _objective(kernel, sides),
+        [np.concatenate([side.encode(s) for side, s in zip(sides, seed)]) for seed in seeds],
         cfg.restarts,
-        lambda rng: np.concatenate([side_a.random_start(rng), side_b.random_start(rng)]),
+        lambda rng: np.concatenate([side.random_start(rng) for side in sides]),
         cfg,
     )
-    return MiSearchResult(
-        value=-res.value,
-        meas_a=side_a.povm(res.params[:na]),
-        meas_b=side_b.povm(res.params[na:]),
-        converged=res.converged,
-        n_starts=res.n_starts,
-        n_converged=res.n_converged,
-    )
+    return res, [side.povm(res.params[part]) for side, part in zip(sides, _param_slices(sides))]
+
+
+def _mi_result(res, meas: list[Povm]) -> MiSearchResult:
+    """The MiSearchResult of a two-sided _search's output."""
+    return MiSearchResult(-res.value, *meas, res.converged, res.n_starts, res.n_converged)
 
 
 def maximize_mi_projective(
@@ -452,7 +452,8 @@ def maximize_mi_projective(
     cfg = cfg or OptimizerConfig()
     _check_opt_dims(rho)
     seeds = _projective_seed_pairs(rho) + list(extra_seeds or [])
-    return _mi_search(rho, _basis_side(rho.dim_a), _basis_side(rho.dim_b), seeds, cfg)
+    sides = (_basis_side(rho.dim_a), _basis_side(rho.dim_b))
+    return _mi_result(*_search(partial(_mi_value_grad, rho.mat), sides, seeds, cfg))
 
 
 def _fourier_frame(n_out: int, d: int) -> np.ndarray:
@@ -494,7 +495,8 @@ def _mi_povm_search(rho: DensityMatrix, n_out_a: int, n_out_b: int, cfg: Optimiz
                     fixed_a: Povm | None = None, fixed_b: Povm | None = None,
                     proj: MiSearchResult | None = None) -> MiSearchResult:
     """maximize_mi_povm, seeded from proj when the caller already holds
-    maximize_mi_projective(rho, cfg); otherwise that search runs here."""
+    maximize_mi_projective(rho, cfg).  Otherwise the projective search runs
+    here over the free sides only, a fixed side staying fixed."""
     _check_opt_dims(rho)
     da, db = rho.dim_a, rho.dim_b
     free_a, free_b = fixed_a is None, fixed_b is None
@@ -505,8 +507,13 @@ def _mi_povm_search(rho: DensityMatrix, n_out_a: int, n_out_b: int, cfg: Optimiz
     if (not free_a and fixed_a.rows is None) or (not free_b and fixed_b.rows is None):
         raise ValueError("fixed measurements must be rank-one (have rows)")
 
+    kernel = partial(_mi_value_grad, rho.mat)
     if proj is None:
-        proj = maximize_mi_projective(rho, cfg)
+        sides = tuple(_basis_side(d) if fixed is None else _fixed_side(fixed)
+                      for fixed, d in ((fixed_a, da), (fixed_b, db)))
+        _, (meas_a, meas_b) = _search(kernel, sides, _projective_seed_pairs(rho), cfg)
+    else:
+        meas_a, meas_b = proj.meas_a, proj.meas_b
 
     def side(fixed, meas, n_out, d):
         if fixed is not None:
@@ -515,9 +522,10 @@ def _mi_povm_search(rho: DensityMatrix, n_out_a: int, n_out_b: int, cfg: Optimiz
         frame = _fourier_frame(n_out, d)
         return _isometry_side(n_out, d), [_embed_basis(u, n_out), frame, frame @ u.conj().T]
 
-    side_a, seeds_a = side(fixed_a, proj.meas_a, n_out_a, da)
-    side_b, seeds_b = side(fixed_b, proj.meas_b, n_out_b, db)
-    return _mi_search(rho, side_a, side_b, [(a, b) for a in seeds_a for b in seeds_b], cfg)
+    side_a, seeds_a = side(fixed_a, meas_a, n_out_a, da)
+    side_b, seeds_b = side(fixed_b, meas_b, n_out_b, db)
+    seeds = [(a, b) for a in seeds_a for b in seeds_b]
+    return _mi_result(*_search(kernel, (side_a, side_b), seeds, cfg))
 
 
 def conditional_states_b(rho: DensityMatrix, meas_a) -> list[tuple[float, np.ndarray]]:
@@ -588,35 +596,6 @@ def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
     return value, 2.0 * np.einsum("...iAa,...iA->...ia", z, rows)
 
 
-def _neg_holevo_objective(r4: np.ndarray, side: _Side):
-    """-(conditional-entropy defect) and its gradient on the chart of
-    Alice's measurement, for one or stacked points as _neg_mi_objective."""
-
-    def objective(x):
-        rows, pull = side.chart(x)
-        value, grad_rows = _holevo_value_grad(r4, rows)
-        return -value, -pull(grad_rows)
-
-    return objective
-
-
-def _holevo_search(rho: DensityMatrix, side: _Side, seeds,
-                   cfg: OptimizerConfig) -> HolevoSearchResult:
-    """Multi-start L-BFGS for S(B) - sum_i p_i S(rho_B|i) over Alice's side,
-    from the seeds and cfg.restarts random starts."""
-    res = multistart_minimize(_neg_holevo_objective(_r4(rho), side),
-                              [side.encode(seed) for seed in seeds], cfg.restarts,
-                              side.random_start, cfg)
-    # res.value is the minimized -(conditional-entropy defect)
-    return HolevoSearchResult(
-        value=von_neumann_entropy(marginal_mats(rho)[1]) - res.value,
-        meas_a=side.povm(res.params),
-        converged=res.converged,
-        n_starts=res.n_starts,
-        n_converged=res.n_converged,
-    )
-
-
 def classical_correlation_a(
     rho: DensityMatrix,
     cfg: OptimizerConfig | None = None,
@@ -636,15 +615,21 @@ def classical_correlation_a(
     _check_opt_dims(rho)
     da = rho.dim_a
     _, va = hermitian_eigen(marginal_mats(rho)[0])
-    bases = [np.eye(da), va] + [np.asarray(u) for u in extra_seeds or []]
+    seeds = [np.eye(da), va] + [np.asarray(u) for u in extra_seeds or []]
     if projective_only:
-        return _holevo_search(rho, _basis_side(da), bases, cfg)
-    n_out = n_out or da * da
-    if n_out < da:
-        raise ValueError(f"n_out must be >= {da}, got {n_out}")
-    seeds = [_embed_basis(u, n_out) for u in bases]
-    seeds.insert(2, _fourier_frame(n_out, da))  # before any extra_seeds
-    return _holevo_search(rho, _isometry_side(n_out, da), seeds, cfg)
+        side = _basis_side(da)
+    else:
+        n_out = n_out or da * da
+        if n_out < da:
+            raise ValueError(f"n_out must be >= {da}, got {n_out}")
+        seeds = [_embed_basis(u, n_out) for u in seeds]
+        seeds.insert(2, _fourier_frame(n_out, da))  # before any extra_seeds
+        side = _isometry_side(n_out, da)
+    res, (meas,) = _search(partial(_holevo_value_grad, _r4(rho)), (side,),
+                           [(seed,) for seed in seeds], cfg)
+    # res.value is the minimized -(conditional-entropy defect)
+    return HolevoSearchResult(von_neumann_entropy(marginal_mats(rho)[1]) - res.value, meas,
+                              res.converged, res.n_starts, res.n_converged)
 
 
 def _clamp_discord(raw: float) -> float:
@@ -717,7 +702,8 @@ def i_eigenbasis(rho: DensityMatrix) -> EigenbasisMi:
     ma, mb = marginal_mats(rho)
     wa, va = hermitian_eigen(ma)
     wb, vb = hermitian_eigen(mb)
-    value = float(_table_mi(_outcome_table(rho, va.conj().T, vb.conj().T)))
+    value = float(_table_mi(_outcome_table(rho, _rank_one_effects(va.conj().T),
+                                           _rank_one_effects(vb.conj().T))))
     return EigenbasisMi(value, _degenerate(wa), _degenerate(wb), va, vb)
 
 
@@ -744,7 +730,8 @@ def i_eigenbasis_scan(rho: DensityMatrix, samples: int = 100, seed: int = 0) -> 
     for k in range(samples):
         ua = _random_eigenbasis(wa, va, rng)
         ub = _random_eigenbasis(wb, vb, rng)
-        out[k] = _table_mi(_outcome_table(rho, ua.conj().T, ub.conj().T))
+        out[k] = _table_mi(_outcome_table(rho, _rank_one_effects(ua.conj().T),
+                                          _rank_one_effects(ub.conj().T)))
     return out
 
 

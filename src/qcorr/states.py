@@ -220,8 +220,8 @@ def locking_demo(
     The after-announcement value is computed exactly and read off the
     state itself: once Alice announces t, Bob measures the basis matched to
     t (U_t for the locking variant, the computational basis for sigma), so
-    the record is the outcome table of Alice's (t, i) rows against that
-    basis, stacked over t, and its mutual information is the value.
+    the record is the outcome table of Alice's (t, i) projectors against
+    that basis, stacked over t, and its mutual information is the value.
     """
     cfg = cfg or OptimizerConfig()
     if variant == "locking":
@@ -237,8 +237,9 @@ def locking_demo(
     smut = quantum_mutual_info(rho)
     best = maximize_mi_projective(rho, cfg)
 
+    alice = _projectors(None, 2 * d)
     after = classical_mutual_info(np.vstack([
-        _outcome_table(rho, np.eye(2 * d)[t * d : (t + 1) * d], u.conj().T)
+        _outcome_table(rho, alice[t * d : (t + 1) * d], _projectors(u, d))
         for t, u in enumerate(bob_bases)
     ]))
 

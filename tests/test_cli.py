@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from qcorr.dqc1 import MAX_SCAN_N
 from qcorr.linalg import as_rng, random_density_matrix, save_state
 from qcorr.states import bell_diagonal_state
 
@@ -82,6 +83,25 @@ def test_scans_reject_nonpositive_alpha_steps(command, steps):
     assert "--alpha-steps: expected a positive integer" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["dqc1-scan", "werner-scan"])
+@pytest.mark.parametrize("flag", [["--restarts", "99"], ["--iters", "5"], ["--tol", "5"]])
+def test_scans_reject_search_flags(command, flag):
+    # the closed-form scans run no search, so an optimizer override is an error
+    proc = run_cli(command, "--dims", "3", "--alpha-steps", "2", *flag)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in proc.stderr
+
+
+@pytest.mark.parametrize("phase_model", ["uniform", "haar"])
+def test_dqc1_scan_caps_the_register(phase_model):
+    proc = run_cli("dqc1-scan", "--dims", str(MAX_SCAN_N + 1), "--alpha-steps", "2",
+                   "--phase-model", phase_model)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert f"capped at n={MAX_SCAN_N}" in proc.stderr
+
+
 def test_out_flag_writes_identical_bytes(tmp_path):
     out = tmp_path / "scan.csv"
     to_file = run_cli("werner-scan", "--dims", "2", "--alpha-steps", "3", "--out", str(out))
@@ -99,6 +119,14 @@ def test_campaign_prop1_passes_and_summarizes():
     assert len(lines) == 13
     assert all(line.split(",")[-1] == "1" for line in lines[1:])
     assert "12 rows, 12 ok, 0 violations" in proc.stderr
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_campaign_rejects_nonpositive_samples(samples):
+    proc = run_cli("campaign", "prop1", "--samples", samples)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--samples: expected a positive integer" in proc.stderr
 
 
 def test_campaign_bounds_covers_requested_dimensions():

@@ -2,6 +2,7 @@
 finite differences, stacked evaluation against one point at a time, the
 lockstep L-BFGS, and the searches on inputs with zero probabilities."""
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,8 +25,7 @@ from qcorr.measures import (
     _isometry_side,
     _mi_value_grad,
     _neg_avg_conditional_entropy,
-    _neg_holevo_objective,
-    _neg_mi_objective,
+    _objective,
     _outcome_table,
     _r4,
     _rank_one_effects,
@@ -73,6 +73,14 @@ def assert_gradient_matches(objective, points):
         assert np.linalg.norm(alone_grad - fd) <= 1e-6 * np.linalg.norm(fd), (alone_grad, fd)
 
 
+def mi_objective(rho, *sides):
+    return _objective(partial(_mi_value_grad, rho.mat), sides)
+
+
+def holevo_objective(r4, side):
+    return _objective(partial(_holevo_value_grad, r4), (side,))
+
+
 def random_angles(d, rng):
     return rng.uniform(0, 2 * np.pi, n_basis_params(d))
 
@@ -83,12 +91,14 @@ def test_mi_kernel_value_matches_table_paths(da, db):
     rho = random_density_matrix(da, db, rng=rng)
     ua, ub = random_unitary(da, rng), random_unitary(db, rng)
     value = _mi_value_grad(rho.mat, ua.conj().T, ub.conj().T)[0]
-    reference = _table_mi(_outcome_table(rho, ua.conj().T, ub.conj().T))
+    reference = _table_mi(_outcome_table(rho, _rank_one_effects(ua.conj().T),
+                                           _rank_one_effects(ub.conj().T)))
     assert value == pytest.approx(reference, abs=1e-12)
     ra = Povm.random_rank_one(da, da + 2, rng).rows
     rb = Povm.random_rank_one(db, db + 1, rng).rows
     value = _mi_value_grad(rho.mat, ra, rb)[0]
-    assert value == pytest.approx(_table_mi(_outcome_table(rho, ra, rb)), abs=1e-12)
+    table = _outcome_table(rho, _rank_one_effects(ra), _rank_one_effects(rb))
+    assert value == pytest.approx(_table_mi(table), abs=1e-12)
 
 
 @pytest.mark.parametrize("da,db", SHAPES)
@@ -106,7 +116,7 @@ def test_holevo_kernel_value_matches_conditional_entropy_path(da, db):
 def test_projective_mi_gradient(da, db):
     rng = as_rng([3, da, db])
     rho = random_density_matrix(da, db, rng=rng)
-    objective = _neg_mi_objective(rho.mat, _basis_side(da), _basis_side(db))
+    objective = mi_objective(rho, _basis_side(da), _basis_side(db))
     # the identity seed has every theta at zero, where the phi directions are flat
     assert_gradient_matches(objective, [
         np.concatenate([random_angles(da, rng), random_angles(db, rng)]),
@@ -121,7 +131,7 @@ def test_povm_mi_gradient_free_and_fixed_sides(da, db):
     rho = random_density_matrix(da, db, rng=rng)
     na, nb = da + 2, db + 1
     pa, pb = n_isometry_params(na, da), n_isometry_params(nb, db)
-    both = _neg_mi_objective(rho.mat, _isometry_side(na, da), _isometry_side(nb, db))
+    both = mi_objective(rho, _isometry_side(na, da), _isometry_side(nb, db))
     seed = np.concatenate([
         params_from_isometry(_embed_basis(np.eye(da), na)),
         params_from_isometry(_embed_basis(np.eye(db), nb)),
@@ -129,9 +139,9 @@ def test_povm_mi_gradient_free_and_fixed_sides(da, db):
     assert_gradient_matches(both, [rng.standard_normal(pa + pb), seed])
     fixed_a = _fixed_side(Povm.from_basis(ProjectiveBasis(random_unitary(da, rng))))
     fixed_b = _fixed_side(Povm.random_rank_one(db, nb, rng))
-    assert_gradient_matches(_neg_mi_objective(rho.mat, fixed_a, _isometry_side(nb, db)),
+    assert_gradient_matches(mi_objective(rho, fixed_a, _isometry_side(nb, db)),
                             rng.standard_normal((2, pb)))
-    assert_gradient_matches(_neg_mi_objective(rho.mat, _isometry_side(na, da), fixed_b),
+    assert_gradient_matches(mi_objective(rho, _isometry_side(na, da), fixed_b),
                             rng.standard_normal((2, pa)))
 
 
@@ -140,10 +150,10 @@ def test_holevo_gradient_projective_and_povm(da, db):
     rng = as_rng([5, da, db])
     rho = random_density_matrix(da, db, rng=rng)
     r4 = rho.mat.reshape(da, db, da, db)
-    projective = _neg_holevo_objective(r4, _basis_side(da))
+    projective = holevo_objective(r4, _basis_side(da))
     assert_gradient_matches(projective, [random_angles(da, rng), np.zeros(n_basis_params(da))])
     n_out = da * da
-    povm = _neg_holevo_objective(r4, _isometry_side(n_out, da))
+    povm = holevo_objective(r4, _isometry_side(n_out, da))
     assert_gradient_matches(povm, rng.standard_normal((2, n_isometry_params(n_out, da))))
 
 
@@ -176,10 +186,10 @@ def test_lockstep_start_is_the_same_alone_and_in_a_batch(d):
     rho = random_density_matrix(d, d, rng=as_rng([10, d]))
     cfg = OptimizerConfig(seed=0)
     cases = [
-        (_neg_mi_objective(rho.mat, _basis_side(d), _basis_side(d)),
+        (mi_objective(rho, _basis_side(d), _basis_side(d)),
          [np.concatenate([params_from_unitary(random_unitary(d, as_rng([d, k])))
                           for _ in range(2)]) for k in range(5)]),
-        (_neg_holevo_objective(_r4(rho), _isometry_side(d + 1, d)),
+        (holevo_objective(_r4(rho), _isometry_side(d + 1, d)),
          as_rng([11, d]).standard_normal((5, n_isometry_params(d + 1, d)))),
     ]
     for objective, starts in cases:

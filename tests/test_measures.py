@@ -3,6 +3,7 @@ import pytest
 
 from qcorr.linalg import (
     DensityMatrix,
+    DimensionMismatchError,
     InvalidStateError,
     UnsupportedDimensionError,
     as_rng,
@@ -65,6 +66,18 @@ def test_povm_rejects_bad_effect_sets():
         Povm.from_isometry(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))  # W^H W = diag(1, 2)
 
 
+def test_povm_rejects_rows_that_disagree_with_effects():
+    halves = np.stack([np.eye(2) / 2] * 2)
+    with pytest.raises(InvalidStateError):
+        Povm(halves, rows=np.eye(2))  # rows give |0><0| and |1><1|, not 1/2 each
+    with pytest.raises(DimensionMismatchError):
+        Povm(halves, rows=np.eye(3)[:2])  # (2, 3) rows for d = 2
+    with pytest.raises(DimensionMismatchError):
+        Povm(halves, rows=np.eye(2)[0])
+    fourier = Povm.from_basis(ProjectiveBasis.fourier(3))
+    assert Povm(fourier.effects, rows=fourier.rows * np.exp(0.3j)).rows is not None
+
+
 def test_povm_random_rank_one_is_valid_and_seeded():
     povm = Povm.random_rank_one(3, 7, as_rng(4))
     np.testing.assert_allclose(povm.effects.sum(axis=0), np.eye(3), atol=1e-10)
@@ -109,13 +122,37 @@ def test_joint_distribution_general_effects_match_rank_one_path():
     basis = ProjectiveBasis.fourier(3)
     rank_one = Povm.from_basis(basis)
     u = basis.vectors
-    # same measurement with the rows stripped forces the general einsum path
+    # the same measurement with the rows stripped: the table reads only the
+    # effects, so the rows must not change it
     general = Povm(np.stack([np.outer(u[:, k], u[:, k].conj()) for k in range(3)]))
     assert general.rows is None
     bob = Povm.random_rank_one(2, 3, as_rng(9))
     t1 = joint_distribution(rho, rank_one, bob).table
     t2 = joint_distribution(rho, general, bob).table
     np.testing.assert_allclose(t1, t2, atol=1e-12)
+
+
+def _noisy_povm(d: int, n_out: int, rng) -> Povm:
+    """A random rank-one POVM mixed with the trivial one: full-rank effects."""
+    effects = Povm.random_rank_one(d, n_out, rng).effects
+    return Povm(0.7 * effects + 0.3 * np.eye(d) / n_out)
+
+
+@pytest.mark.parametrize("da,db", [(2, 3), (3, 2), (5, 5)])
+def test_joint_distribution_matches_kron_oracle(da, db):
+    """table[i, s] = Tr[(M_i (x) N_s) rho] with the product built by np.kron,
+    for rank-one and noisy POVMs on either side."""
+    rng = as_rng([12, da, db])
+    rho = random_density_matrix(da, db, rng=rng)
+    alice = [Povm.random_rank_one(da, da + 1, rng), _noisy_povm(da, da + 2, rng)]
+    bob = [Povm.random_rank_one(db, db + 2, rng), _noisy_povm(db, db + 1, rng)]
+    assert alice[1].rows is None and bob[1].rows is None
+    for pa in alice:
+        for pb in bob:
+            oracle = np.array([[np.trace(np.kron(m, n) @ rho.mat).real for n in pb.effects]
+                               for m in pa.effects])
+            table = joint_distribution(rho, pa, pb).table
+            np.testing.assert_allclose(table, oracle, rtol=0, atol=1e-14)
 
 
 def test_classical_mutual_info_oracles():
