@@ -10,6 +10,7 @@ worst pair sum (for two bases that is the total itself).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .measures import (
     _check_meas_dims,
     _checked_tables,
     _outcome_table,
-    _rank_one_effects,
     _table_mi,
 )
 
@@ -70,7 +70,8 @@ class MubFamily:
     """Pairwise mutually unbiased bases on d levels.
 
     rows stacks each basis's measurement rows <a_mi| as a read-only
-    (count, d, d) array.  It is built once, at construction, where each
+    (count, d, d) array, and effects their projectors |a_mi><a_mi| as a
+    (count, d, d, d) one.  Both are built once, at construction, where each
     basis is also validated as a Povm, so that measuring the family on a
     state needs neither step again.
     """
@@ -78,11 +79,14 @@ class MubFamily:
     dim: int
     bases: tuple[ProjectiveBasis, ...]
     rows: np.ndarray = field(init=False, repr=False, compare=False)
+    effects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = np.stack([Povm.from_basis(basis).rows for basis in self.bases])
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        povms = [Povm.from_basis(basis) for basis in self.bases]
+        for name in ("rows", "effects"):
+            stack = np.stack([getattr(povm, name) for povm in povms])
+            stack.flags.writeable = False
+            object.__setattr__(self, name, stack)
 
     @property
     def count(self) -> int:
@@ -213,18 +217,12 @@ class BoundReport:
     satisfied: dict
 
     def rows(self) -> list[dict]:
-        out = []
-        for name, limit in self.bounds.items():
-            observed = self.max_pair_sum if name == "two_basis" else self.i_total
-            out.append(
-                {
-                    "bound": name,
-                    "observed": observed,
-                    "limit": limit,
-                    "satisfied": self.satisfied[name],
-                }
-            )
-        return out
+        return [
+            {"bound": name,
+             "observed": self.max_pair_sum if name == "two_basis" else self.i_total,
+             "limit": limit, "satisfied": self.satisfied[name]}
+            for name, limit in self.bounds.items()
+        ]
 
 
 def mub_information_report(
@@ -234,7 +232,7 @@ def mub_information_report(
     measurement and compare the total against every applicable ceiling.
 
     The outcome tables of all the bases are computed as one stack from
-    mubs.rows, checked as joint distributions and turned into mi values in
+    mubs.effects, checked as joint distributions and turned into mi values in
     one pass; the values equal those of joint_distribution per basis."""
     if mubs.dim != rho.dim_a:
         raise UnsupportedDimensionError(
@@ -242,17 +240,11 @@ def mub_information_report(
         )
     bob = _as_povm(bob_povm)
     _check_meas_dims(rho, mubs.dim, bob.dim)
-    tables = _checked_tables(_outcome_table(rho, _rank_one_effects(mubs.rows), bob.effects))
+    tables = _checked_tables(_outcome_table(rho, mubs.effects, bob.effects))
     i_values = tuple(float(v) for v in _table_mi(tables))
     i_total = float(sum(i_values))
-    if mubs.count >= 2:
-        pair = max(
-            i_values[i] + i_values[j]
-            for i in range(mubs.count)
-            for j in range(i + 1, mubs.count)
-        )
-    else:
-        pair = i_values[0]
+    # a single basis is its own worst "pair"
+    pair = max(map(sum, combinations(i_values, 2)), default=i_values[0])
     d = rho.dim_a
     refined, half, _ = mub_total_bound(d, mubs.count)
     bounds = {

@@ -28,12 +28,7 @@ from .linalg import (
     random_density_matrix,
     von_neumann_entropy,
 )
-from .measures import (
-    Povm,
-    classical_mutual_info,
-    full_report,
-    joint_distribution,
-)
+from .measures import Povm, classical_mutual_info, full_report, joint_distribution
 from .optimize import OptimizerConfig
 from .states import locking_demo, trine_povm_optimum, trine_projective_grid, werner_analytics
 
@@ -249,15 +244,17 @@ def cmd_trine(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, search: bool) -> None:
-    """--seed and --out, plus the optimizer overrides where a search runs."""
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    if search:
-        cfg = OptimizerConfig()
-        p.add_argument("--restarts", type=int, default=cfg.restarts, help="random search restarts")
-        p.add_argument("--iters", type=int, default=cfg.max_iters, help="L-BFGS step cap per start")
-        p.add_argument("--tol", type=float, default=cfg.tolerance, help="L-BFGS gradient tolerance")
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+
+
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
+    """Optimizer overrides, for the subcommands that run a search."""
+    cfg = OptimizerConfig()
+    p.add_argument("--restarts", type=int, default=cfg.restarts, help="random search restarts")
+    p.add_argument("--iters", type=int, default=cfg.max_iters, help="L-BFGS step cap per start")
+    p.add_argument("--tol", type=float, default=cfg.tolerance, help="L-BFGS gradient tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,37 +266,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full correlation report for a state file (JSON)")
     p.add_argument("state_file")
-    _add_common(p, search=True)
+    _add_common(p)
+    _add_search_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("werner-scan", help="closed-form scan of the swap-mixture family (CSV)")
     p.add_argument("--dims", type=_dims_list, default=[2, 3, 10], help="comma-separated d list")
     p.add_argument("--alpha-steps", type=_positive_int, default=101)
-    _add_common(p, search=False)
+    _add_common(p)
     p.set_defaults(func=cmd_werner_scan)
 
     p = sub.add_parser("dqc1-scan", help="polarization scan of the one-clean-qubit model (CSV)")
     p.add_argument("--dims", type=int, default=10, help="work-register qubit count")
     p.add_argument("--alpha-steps", type=_positive_int, default=101)
     p.add_argument("--phase-model", choices=["uniform", "haar"], default="uniform")
-    _add_common(p, search=False)
+    _add_common(p)
     p.set_defaults(func=cmd_dqc1_scan)
 
     p = sub.add_parser("campaign", help="randomized property campaign (CSV + stderr summary)")
     p.add_argument("kind", choices=["prop1", "bounds", "qvsdiscord"])
     p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--dims", type=_dims_list, default=None, help="comma-separated dimension pool")
-    _add_common(p, search=True)
+    _add_common(p)
+    _add_search_flags(p)
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("lock-demo", help="one-bit unlock protocol report (JSON)")
     p.add_argument("variant", nargs="?", choices=["locking", "sigma"], default="locking")
     p.add_argument("--dims", type=int, default=2, help="value-register dimension d")
-    _add_common(p, search=True)
+    _add_common(p)
+    _add_search_flags(p)
     p.set_defaults(func=cmd_lock_demo)
 
     p = sub.add_parser("trine", help="projective grid versus three-outcome search (JSON)")
-    _add_common(p, search=True)
+    _add_common(p)
+    _add_search_flags(p)
     p.set_defaults(func=cmd_trine)
 
     return parser

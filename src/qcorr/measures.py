@@ -168,34 +168,40 @@ class Povm:
     """Measurement with effects stacked in an (n_out, d, d) array.
 
     rows holds <k_s| for rank-one measurements (one row per outcome) and is
-    None otherwise; given rows must be (n_out, d) and give the effects
-    |k_s><k_s| to within the identity-sum tolerance.
+    None otherwise.  Given rows alone, the effects |k_s><k_s| are built
+    from them, positive by construction; given both, rows must be
+    (n_out, d) and give the effects to within the identity-sum tolerance.
     """
 
-    effects: np.ndarray
+    effects: np.ndarray | None = None
     rows: np.ndarray | None = None
 
     def __post_init__(self):
-        e = np.array(self.effects, dtype=np.complex128)
-        if e.ndim != 3 or e.shape[1] != e.shape[2]:
-            raise ValueError(f"effects must be (n, d, d), got {e.shape}")
-        low = np.linalg.eigvalsh(e)[:, 0].min(initial=0.0)
-        if low < -1e-10:
-            raise InvalidStateError(f"effect has negative eigenvalue {low:.3e}")
+        r = None if self.rows is None else np.array(self.rows, dtype=np.complex128)
+        if self.effects is None:
+            if r is None or r.ndim != 2:
+                raise DimensionMismatchError(f"need effects or (n_out, d) rows, got {self.rows}")
+            e = _rank_one_effects(r)
+        else:
+            e = np.array(self.effects, dtype=np.complex128)
+            if e.ndim != 3 or e.shape[1] != e.shape[2]:
+                raise ValueError(f"effects must be (n, d, d), got {e.shape}")
+            low = np.linalg.eigvalsh(e)[:, 0].min(initial=0.0)
+            if low < -1e-10:
+                raise InvalidStateError(f"effect has negative eigenvalue {low:.3e}")
+            if r is not None:
+                if r.shape != e.shape[:2]:
+                    raise DimensionMismatchError(f"rows must be {e.shape[:2]}, got {r.shape}")
+                gap = np.abs(_rank_one_effects(r) - e).max()
+                if gap > 1e-9:
+                    raise InvalidStateError(f"rows differ from the effects by {gap:.3e}")
         defect = np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[1])))
         if defect > 1e-9:
             raise InvalidStateError(f"effects sum differs from identity by {defect:.3e}")
-        e.flags.writeable = False
-        object.__setattr__(self, "effects", e)
-        if self.rows is not None:
-            r = np.array(self.rows, dtype=np.complex128)
-            if r.shape != e.shape[:2]:
-                raise DimensionMismatchError(f"rows must be {e.shape[:2]}, got {r.shape}")
-            gap = np.abs(_rank_one_effects(r) - e).max()
-            if gap > 1e-9:
-                raise InvalidStateError(f"rows differ from the effects by {gap:.3e}")
-            r.flags.writeable = False
-            object.__setattr__(self, "rows", r)
+        for name, a in (("effects", e), ("rows", r)):
+            if a is not None:
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
 
     @property
     def n_outcomes(self) -> int:
@@ -208,16 +214,14 @@ class Povm:
     @classmethod
     def from_basis(cls, basis: "ProjectiveBasis | np.ndarray") -> "Povm":
         u = basis.vectors if isinstance(basis, ProjectiveBasis) else np.asarray(basis)
-        rows = u.conj().T
-        return cls(_rank_one_effects(rows), rows)
+        return cls(rows=u.conj().T)
 
     @classmethod
     def from_isometry(cls, w: np.ndarray) -> "Povm":
         """Rank-one POVM from an n_out x d matrix with orthonormal columns;
         row s is <k_s|.  The effects sum to W^H W, so the identity-sum check
         of construction is the orthonormality check."""
-        w = np.asarray(w, dtype=np.complex128)
-        return cls(_rank_one_effects(w), w)
+        return cls(rows=w)
 
     @classmethod
     def random_rank_one(cls, d: int, n_out: int, rng=None) -> "Povm":
@@ -508,12 +512,14 @@ def _mi_povm_search(rho: DensityMatrix, n_out_a: int, n_out_b: int, cfg: Optimiz
         raise ValueError("fixed measurements must be rank-one (have rows)")
 
     kernel = partial(_mi_value_grad, rho.mat)
-    if proj is None:
+    # a fixed side seeds itself; with both sides fixed there is nothing to seed
+    meas_a, meas_b = fixed_a, fixed_b
+    if proj is not None:
+        meas_a, meas_b = proj.meas_a, proj.meas_b
+    elif free_a or free_b:
         sides = tuple(_basis_side(d) if fixed is None else _fixed_side(fixed)
                       for fixed, d in ((fixed_a, da), (fixed_b, db)))
         _, (meas_a, meas_b) = _search(kernel, sides, _projective_seed_pairs(rho), cfg)
-    else:
-        meas_a, meas_b = proj.meas_a, proj.meas_b
 
     def side(fixed, meas, n_out, d):
         if fixed is not None:

@@ -29,7 +29,8 @@ from qcorr.measures import (
     measurement_induced_disturbance,
     quantum_mutual_info,
 )
-from qcorr.optimize import OptimizerConfig
+from qcorr import measures
+from qcorr.optimize import OptimizerConfig, multistart_minimize
 from qcorr.states import bell_diagonal_state, classical_quantum_state
 
 LIGHT = OptimizerConfig(restarts=3, max_iters=200, seed=0)
@@ -76,6 +77,17 @@ def test_povm_rejects_rows_that_disagree_with_effects():
         Povm(halves, rows=np.eye(2)[0])
     fourier = Povm.from_basis(ProjectiveBasis.fourier(3))
     assert Povm(fourier.effects, rows=fourier.rows * np.exp(0.3j)).rows is not None
+
+
+def test_povm_from_rows_alone_builds_the_rank_one_effects():
+    w = Povm.random_rank_one(3, 5, rng=4).rows
+    np.testing.assert_array_equal(Povm(rows=w).effects, np.einsum("sa,sb->sab", w.conj(), w))
+    with pytest.raises(InvalidStateError):
+        Povm(rows=np.ones((2, 2)))  # effects sum to [[2, 2], [2, 2]]
+    with pytest.raises(DimensionMismatchError):
+        Povm(rows=np.eye(2)[0])
+    with pytest.raises(DimensionMismatchError):
+        Povm()
 
 
 def test_povm_random_rank_one_is_valid_and_seeded():
@@ -211,10 +223,18 @@ def test_maximize_mi_povm_never_below_projective():
     assert povm.meas_a.n_outcomes == 4
 
 
-def test_maximize_mi_povm_with_both_sides_fixed_evaluates_them():
+def test_maximize_mi_povm_with_both_sides_fixed_evaluates_them(monkeypatch):
     rho = random_density_matrix(3, 2, rng=as_rng(22))
     fixed_a, fixed_b = Povm.random_rank_one(3, 4, rng=1), Povm.random_rank_one(2, 3, rng=2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return multistart_minimize(*args)
+
+    monkeypatch.setattr(measures, "multistart_minimize", counted)
     res = maximize_mi_povm(rho, 4, 3, LIGHT, fixed_a=fixed_a, fixed_b=fixed_b)
+    assert len(calls) == 1  # no seeding search: there is no free side to seed
     expected = classical_mutual_info(joint_distribution(rho, fixed_a, fixed_b))
     assert res.value == pytest.approx(expected, abs=1e-12)
     assert res.meas_a is fixed_a and res.meas_b is fixed_b and res.converged
