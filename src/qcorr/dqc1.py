@@ -17,8 +17,9 @@ is even in x), so an even azimuth grid is evaluated on its first half
 only; an odd grid has no coinciding folded points and is kept whole.  One
 private kernel maximizes the curve for a whole array of polarizations: the
 cosine table and the normalized trace are built once, the grid argmax runs
-one polarization at a time, and every best grid point is polished in one
-lockstep golden-section batch whose round count depends only on the grid.
+one polarization at a time, and the best grid points are polished in
+lockstep golden-section blocks of bounded size, whose round count depends
+only on the grid.
 The polish keeps the best value it has seen, so no maximum is below the
 best grid value, and a scan row equals the single-polarization call
 bitwise.
@@ -48,6 +49,9 @@ MAX_SCAN_N = 16
 # azimuth grid points over 2 pi, and the final bracket width of the polish
 _GRID = 720
 _POLISH_XTOL = 1e-12
+# polarizations are polished in blocks of at most this many (block x 2**n)
+# floats per array, so the polish's memory does not grow with the scan length
+_POLISH_BLOCK_FLOATS = 2**20
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class Dqc1Model:
     def haar(cls, n: int, alpha: float, seed=0) -> "Dqc1Model":
         """Eigenphases of a Haar-random unitary on the register."""
         if n > MAX_HAAR_N:
-            raise InvalidStateError(
+            raise UnsupportedDimensionError(
                 f"haar phases need an eigendecomposition of a {2**n} level unitary; "
                 f"capped at n={MAX_HAAR_N}"
             )
@@ -116,7 +120,7 @@ def exact_normalized_trace(model: Dqc1Model) -> complex:
 def build_explicit_state(model: Dqc1Model) -> DensityMatrix:
     """Assemble the full control + register density matrix (n <= 6)."""
     if model.n > MAX_EXPLICIT_N:
-        raise InvalidStateError(
+        raise UnsupportedDimensionError(
             f"explicit state has dimension {2**(model.n + 1)}; capped at n={MAX_EXPLICIT_N}"
         )
     size = 2**model.n
@@ -159,9 +163,8 @@ def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int) -> np.ndarra
     """Best record information over the azimuth at each polarization in
     alphas, for the eigenphases of `model` (its own alpha is not used).
 
-    Every bracket shrinks in the same golden-section round, one
-    (alphas, 2**n) evaluation each; the round count depends on the grid
-    alone, so an alpha's result does not depend on the batch it is in.
+    The grid argmax runs one polarization at a time; the polish runs in
+    blocks of polarizations (see `_polish`).
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = alphas * exact_normalized_trace(model)
@@ -173,11 +176,26 @@ def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int) -> np.ndarra
         values = _record_mi_curve(alpha, beta, phis, table)
         k = int(np.argmax(values))
         best[i], centre[i] = values[k], phis[k]
+    block = max(1, _POLISH_BLOCK_FLOATS // model.phases.size)
+    for lo in range(0, alphas.size, block):
+        part = slice(lo, lo + block)
+        best[part] = _polish(model.phases, alphas[part], betas[part], centre[part], best[part],
+                             2 * np.pi / grid)
+    return best
+
+
+def _polish(phases, alphas, betas, centre, best, step):
+    """Golden-section search within one grid step of each centre, keeping
+    the best value seen (at least `best`).
+
+    Every bracket shrinks in the same round, one (alphas, 2**n) evaluation
+    each; the round count depends on the step alone, so an alpha's result
+    does not depend on the batch it is in.
+    """
 
     def curve(phi):
-        return _record_mi_curve(alphas[:, None], betas, phi, _cos_table(model.phases, phi))
+        return _record_mi_curve(alphas[:, None], betas, phi, _cos_table(phases, phi))
 
-    step = 2 * np.pi / grid
     shrink = (np.sqrt(5) - 1) / 2
     rounds = int(np.ceil(np.log(_POLISH_XTOL / (2 * step)) / np.log(shrink)))
     lo, hi = centre - step, centre + step

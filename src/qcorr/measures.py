@@ -519,7 +519,14 @@ def _mi_povm_search(rho: DensityMatrix, n_out_a: int, n_out_b: int, cfg: Optimiz
     elif free_a or free_b:
         sides = tuple(_basis_side(d) if fixed is None else _fixed_side(fixed)
                       for fixed, d in ((fixed_a, da), (fixed_b, db)))
-        _, (meas_a, meas_b) = _search(kernel, sides, _projective_seed_pairs(rho), cfg)
+        seeds = _projective_seed_pairs(rho)
+        if free_a != free_b:
+            # a fixed half encodes to no parameters, so pairs that differ only
+            # there would rerun the same start: keep each free-side basis once
+            free = 0 if free_a else 1
+            seeds = [pair for i, pair in enumerate(seeds)
+                     if not any(np.array_equal(pair[free], seen[free]) for seen in seeds[:i])]
+        _, (meas_a, meas_b) = _search(kernel, sides, seeds, cfg)
 
     def side(fixed, meas, n_out, d):
         if fixed is not None:

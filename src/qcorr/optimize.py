@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# unused here, but perfbench/tracing.py patches qcorr.optimize.minimize
-from scipy.optimize import minimize  # noqa: F401
 
 from .linalg import _qr_with_phases, adjoint, as_rng
 
@@ -53,6 +51,18 @@ EPS = np.finfo(float).eps
 _SLOTS = np.arange(HISTORY)
 _UPPER = np.triu(np.ones((HISTORY, HISTORY)))
 _EYE = np.eye(HISTORY)
+
+
+def __getattr__(name):
+    # perfbench/tracing.py still wraps qcorr.optimize.minimize, which nothing
+    # here calls; scipy is imported on that first access only, so importing
+    # qcorr loads numpy alone.  Goes away with ROADMAP item 1's tracer rewrite.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

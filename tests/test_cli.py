@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from qcorr.dqc1 import MAX_SCAN_N
+from qcorr.dqc1 import MAX_HAAR_N, MAX_SCAN_N
 from qcorr.linalg import as_rng, random_density_matrix, save_state
 from qcorr.states import bell_diagonal_state
 
@@ -100,6 +101,31 @@ def test_dqc1_scan_caps_the_register(phase_model):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert f"capped at n={MAX_SCAN_N}" in proc.stderr
+
+
+def test_dqc1_scan_caps_haar_phases():
+    proc = run_cli("dqc1-scan", "--dims", str(MAX_HAAR_N + 1), "--alpha-steps", "2",
+                   "--phase-model", "haar")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert f"capped at n={MAX_HAAR_N}" in proc.stderr
+
+
+def test_commands_run_without_scipy():
+    # scipy is a test dependency only: with it blocked, the package must
+    # still import and run a search and a scan
+    code = """
+import sys
+sys.modules["scipy"] = None
+from qcorr.cli import main
+assert main(["analyze", sys.argv[1], "--restarts", "2", "--seed", "0"]) == 0
+assert main(["dqc1-scan", "--dims", "3", "--alpha-steps", "3"]) == 0
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
+"""
+    state = Path(__file__).parent / "golden" / "state_2x2.json"
+    proc = subprocess.run([sys.executable, "-c", code, str(state)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("[]")
 
 
 def test_out_flag_writes_identical_bytes(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcorr import dqc1
 from qcorr.dqc1 import (
     Dqc1Model,
     build_explicit_state,
@@ -13,7 +14,7 @@ from qcorr.dqc1 import (
     exact_normalized_trace,
     trace_estimate,
 )
-from qcorr.linalg import InvalidStateError, partial_trace
+from qcorr.linalg import InvalidStateError, UnsupportedDimensionError, partial_trace
 from qcorr.measures import (
     ProjectiveBasis,
     classical_mutual_info,
@@ -45,7 +46,7 @@ def test_constructors():
         Dqc1Model.from_unitary(0.5, np.diag([1.0, 2.0]))
     with pytest.raises(InvalidStateError):
         Dqc1Model.from_unitary(0.5, np.eye(3, dtype=complex))
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(UnsupportedDimensionError, match="capped at n=11"):
         Dqc1Model.haar(12, 0.5)
 
 
@@ -63,7 +64,7 @@ def test_explicit_state_marginals():
     beta = 0.6 * exact_normalized_trace(model)
     control = partial_trace(rho, "A").mat
     np.testing.assert_allclose(control, [[0.5, np.conj(beta) / 2], [beta / 2, 0.5]], atol=1e-12)
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(UnsupportedDimensionError, match="capped at n=6"):
         build_explicit_state(Dqc1Model.uniform(7, 0.5))
 
 
@@ -165,6 +166,15 @@ def test_scan_rows_equal_single_polarization_search(n, phase_model):
         else:
             model = Dqc1Model.haar(n, p.alpha, seed=3)
         assert p.max_record_mi == dqc1_max_record_mi(model)
+
+
+@pytest.mark.parametrize("budget", [1, 2 * 2**4])
+@pytest.mark.parametrize("phase_model", ["uniform", "haar"])
+def test_scan_rows_do_not_depend_on_the_polish_block(monkeypatch, phase_model, budget):
+    whole = dqc1_scan(4, 9, phase_model, seed=3)
+    # budget 1 polishes one polarization at a time, 2 * 2**4 two at a time
+    monkeypatch.setattr(dqc1, "_POLISH_BLOCK_FLOATS", budget)
+    assert dqc1_scan(4, 9, phase_model, seed=3) == whole
 
 
 def test_trace_estimate_statistics():

@@ -31,7 +31,7 @@ from qcorr.measures import (
 )
 from qcorr import measures
 from qcorr.optimize import OptimizerConfig, multistart_minimize
-from qcorr.states import bell_diagonal_state, classical_quantum_state
+from qcorr.states import bell_diagonal_state, classical_quantum_state, trine_povm_optimum
 
 LIGHT = OptimizerConfig(restarts=3, max_iters=200, seed=0)
 
@@ -238,6 +238,20 @@ def test_maximize_mi_povm_with_both_sides_fixed_evaluates_them(monkeypatch):
     expected = classical_mutual_info(joint_distribution(rho, fixed_a, fixed_b))
     assert res.value == pytest.approx(expected, abs=1e-12)
     assert res.meas_a is fixed_a and res.meas_b is fixed_b and res.converged
+
+
+def test_one_sided_seeding_search_runs_each_free_basis_once(monkeypatch):
+    starts = []
+
+    def counted(objective, start_points, n_random, random_start, cfg):
+        starts.append(len(start_points) + n_random)
+        return multistart_minimize(objective, start_points, n_random, random_start, cfg)
+
+    monkeypatch.setattr(measures, "multistart_minimize", counted)
+    trine_povm_optimum(OptimizerConfig(restarts=8, seed=0))
+    # Alice is fixed, so the seed pairs give Bob I, F, v_B, I, F: three distinct
+    # bases plus eight random starts
+    assert starts[0] == 11
 
 
 def test_conditional_states_b_recovers_cq_branches():
