@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
+    DimensionMismatchError,
     UnsupportedDimensionError,
     binary_entropy,
     marginal_mats,
@@ -125,6 +126,14 @@ def mub_family(d: int, count: int) -> MubFamily:
     return MubFamily(dim=d, bases=tuple(ProjectiveBasis(m) for m in mats))
 
 
+def _single_system(rho_a: DensityMatrix | np.ndarray, d: int) -> np.ndarray:
+    """The matrix of a single-system state, checked to be d x d."""
+    m = rho_a.mat if isinstance(rho_a, DensityMatrix) else np.asarray(rho_a)
+    if m.shape != (d, d):
+        raise DimensionMismatchError(f"state must be {d} x {d}, got shape {m.shape}")
+    return m
+
+
 def two_mub_bound(dim_a: int) -> float:
     """Ceiling on the record mi extracted with two unbiased bases."""
     return float(np.log2(dim_a))
@@ -153,7 +162,7 @@ def purity_total_bound(rho_a: DensityMatrix | np.ndarray, dim_a: int, count: int
         raise UnsupportedDimensionError(
             f"purity bound needs the full set of {d + 1} bases, got count={count}"
         )
-    tr2 = purity(rho_a)
+    tr2 = purity(_single_system(rho_a, d))
     if d == 2:
         radius = np.sqrt(max(0.0, (2 * tr2 - 1) / 3))
         return float(3 * binary_entropy((1 + radius) / 2) - 2)
@@ -187,7 +196,7 @@ def entropic_sum(rho_a: DensityMatrix | np.ndarray, mubs: MubFamily) -> float:
     """Summed Shannon entropies of the outcome distributions of each basis
     on a single-system state; raises if the uncertainty floor is violated
     (which would indicate a numerical bug, not physics)."""
-    m = rho_a.mat if isinstance(rho_a, DensityMatrix) else np.asarray(rho_a)
+    m = _single_system(rho_a, mubs.dim)
     probs = np.einsum("cia,ab,cib->ci", mubs.rows, m, mubs.rows.conj()).real
     # the entropies of the bases' distributions sum to the entropy of their stack
     total = shannon_entropy(np.clip(probs, 0.0, None))

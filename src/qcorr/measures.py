@@ -10,7 +10,7 @@ nonclassicality / discord figures are upper estimates.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import accumulate
 
@@ -38,12 +38,9 @@ from .optimize import (
     isometry_from_params,
     isometry_from_params_vjp,
     multistart_minimize,
-    n_basis_params,
     n_isometry_params,
     params_from_isometry,
     params_from_unitary,
-    unitary_from_params,
-    unitary_from_params_vjp,
 )
 
 MAX_OPT_DIM = 16
@@ -261,6 +258,9 @@ class JointDistribution:
     table: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.table) != 2:
+            raise DimensionMismatchError(
+                f"joint table must be 2-D, got shape {np.shape(self.table)}")
         t = _checked_tables(self.table)
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
@@ -346,8 +346,8 @@ class _Side:
 
     chart maps stacked parameters (..., n_params) to stacked measurement
     rows <k_s| and returns them with the pullback of a rows gradient to the
-    parameters; encode maps a seed (a basis unitary for a Givens side, an
-    n_out x d isometry for a QR side) to parameters; random_start draws a
+    parameters; encode maps a seed (a basis unitary for a basis side, an
+    n_out x d isometry for a POVM side) to parameters; random_start draws a
     start from an rng; povm decodes final parameters.
     """
 
@@ -356,21 +356,6 @@ class _Side:
     encode: Callable
     random_start: Callable
     povm: Callable
-
-
-def _basis_side(d: int) -> _Side:
-    """Projective basis on the Givens chart: angles to rows U^H, whose
-    gradient's adjoint is the gradient in U."""
-
-    def chart(x):
-        u, pull = unitary_from_params_vjp(x, d)
-        return adjoint(u), lambda grad_rows: pull(adjoint(grad_rows))
-
-    return _Side(
-        n_basis_params(d), chart, params_from_unitary,
-        lambda rng: params_from_unitary(random_unitary(d, rng)),
-        lambda x: Povm.from_basis(ProjectiveBasis(unitary_from_params(x, d))),
-    )
 
 
 def _isometry_side(n_out: int, d: int) -> _Side:
@@ -382,6 +367,14 @@ def _isometry_side(n_out: int, d: int) -> _Side:
         lambda rng: rng.standard_normal(n),
         lambda x: Povm.from_isometry(isometry_from_params(x, n_out, d)),
     )
+
+
+def _basis_side(d: int) -> _Side:
+    """Projective basis: the isometry chart's n_out = d case, whose rows are
+    U^H for the basis unitary U.  Seeds are basis unitaries, and random
+    starts are Haar unitaries."""
+    return replace(_isometry_side(d, d), encode=params_from_unitary,
+                   random_start=lambda rng: params_from_unitary(random_unitary(d, rng)))
 
 
 def _fixed_side(povm: Povm) -> _Side:
@@ -446,8 +439,9 @@ def maximize_mi_projective(
 ) -> MiSearchResult:
     """Search local projective bases for maximal record mutual information.
 
-    Multi-start L-BFGS over a Givens-angle chart of both bases, with the
-    analytic gradient of record mi pulled back through the chart.
+    Multi-start L-BFGS over the QR chart of both bases (optimize's
+    isometry chart with n_out = d), with the analytic gradient of record mi
+    pulled back through the chart.
     Structured starts (computational, Fourier, marginal eigenbases, mixed
     pairs, any extra_seeds) are always refined alongside cfg.restarts random
     starts, and the best exact evaluation wins.  Deterministic given (rho,
@@ -519,14 +513,9 @@ def _mi_povm_search(rho: DensityMatrix, n_out_a: int, n_out_b: int, cfg: Optimiz
     elif free_a or free_b:
         sides = tuple(_basis_side(d) if fixed is None else _fixed_side(fixed)
                       for fixed, d in ((fixed_a, da), (fixed_b, db)))
-        seeds = _projective_seed_pairs(rho)
-        if free_a != free_b:
-            # a fixed half encodes to no parameters, so pairs that differ only
-            # there would rerun the same start: keep each free-side basis once
-            free = 0 if free_a else 1
-            seeds = [pair for i, pair in enumerate(seeds)
-                     if not any(np.array_equal(pair[free], seen[free]) for seen in seeds[:i])]
-        _, (meas_a, meas_b) = _search(kernel, sides, seeds, cfg)
+        # a fixed half encodes to no parameters, so seed pairs that differ
+        # only there are one start, which multistart_minimize runs once
+        _, (meas_a, meas_b) = _search(kernel, sides, _projective_seed_pairs(rho), cfg)
 
     def side(fixed, meas, n_out, d):
         if fixed is not None:

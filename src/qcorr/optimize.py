@@ -1,18 +1,21 @@
-"""Parameter charts for measurement bases and POVMs, their reverse-mode
-derivatives, and a seeded multi-start L-BFGS driver.
+"""Parameter chart for rank-one measurements, its reverse-mode derivative,
+and a seeded multi-start L-BFGS minimizer.
 
-A projective basis on d levels is a point of the flag manifold U(d) modulo
-per-column phases, which has dimension d*(d-1).  The chart used here is a
-product of two-level rotations, one (theta, phi) pair per index pair, in a
-fixed elimination order.  Givens QR inverts the chart exactly, so any
-target basis can be used as a start point.
+A rank-one measurement with n_out outcomes on d levels is the n_out x d
+matrix W whose rows are its measurement rows <k_s|; completeness is
+W^H W = 1.  The chart maps 2*n_out*d reals, the real and imaginary parts of
+an unconstrained complex matrix, to the Q factor of its QR decomposition
+with R's diagonal phases folded back in, so that a matrix that already has
+orthonormal columns comes back unchanged, to round-off, and any target
+measurement can be used as a start point.  A projective basis with columns
+U is the case n_out = d, with W = U^H.
 
 Gradients with respect to a complex matrix Z follow one convention: for a
 real function f, grad = df/dRe(Z) + i df/dIm(Z), so that
-df = Re sum(conj(grad) * dZ).  The *_vjp functions return the chart's
+df = Re sum(conj(grad) * dZ).  isometry_from_params_vjp returns the chart's
 output together with a function that maps such a gradient on the output to
-the gradient on the real parameters.  Charts and pullbacks broadcast over
-leading axes, so params of shape (S, n) give S stacked outputs.
+the gradient on the real parameters.  The chart and its pullback broadcast
+over leading axes, so params of shape (S, n) give S stacked outputs.
 
 multistart_minimize runs every start of a search in lockstep.  The starts
 are stacked into one (S, n) array and each round evaluates the objective
@@ -31,9 +34,7 @@ monotone in the number of restarts.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -94,124 +95,6 @@ class OptimizerConfig:
             raise ValueError("tolerance must be positive")
 
 
-def pair_order(d: int) -> list[tuple[int, int]]:
-    """Index pairs in Givens elimination order (column by column)."""
-    return [(c, r) for c in range(d - 1) for r in range(c + 1, d)]
-
-
-def n_basis_params(d: int) -> int:
-    return d * (d - 1)
-
-
-@lru_cache(maxsize=None)
-def _chart_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch, row and column indices of the four block entries (i, i),
-    (j, j), (i, j), (j, i) of every pair's rotation, each (K, 4)."""
-    pairs = np.array(pair_order(d), dtype=np.intp).reshape(-1, 2)
-    i, j = pairs[:, :1], pairs[:, 1:]
-    index = (
-        np.arange(len(pairs))[:, np.newaxis],
-        np.hstack([i, j, i, j]),
-        np.hstack([i, j, j, i]),
-    )
-    for a in index:
-        a.flags.writeable = False
-    return index
-
-
-def _block_entries(c: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Entries (i, i), (j, j), (i, j), (j, i) of the blocks
-    [[c, -s e], [s conj(e), c]], stacked on a last axis of length 4."""
-    out = np.empty(c.shape + (4,), dtype=np.complex128)
-    out[..., 0] = out[..., 1] = c
-    se = s * e
-    out[..., 2] = -se
-    out[..., 3] = se.conj()
-    return out
-
-
-def _givens_prefixes(c: np.ndarray, s: np.ndarray, e: np.ndarray, d: int) -> np.ndarray:
-    """Prefix products P_k = G_1 ... G_k of the chart's two-level rotations,
-    stacked as a (..., K+1, d, d) array: P_0 is the identity, P_K the basis.
-
-    G_k is the identity except on pair k = (i, j), where its block is
-    [[c, -s e], [s conj(e), c]] with c, s = cos, sin(theta), e = exp(i phi).
-    """
-    batch, n_pairs = c.shape[:-1], c.shape[-1]
-    out = np.empty((math.prod(batch), n_pairs + 1, d, d), dtype=np.complex128)
-    out[...] = np.eye(d)
-    entries = _block_entries(c, s, e).reshape(len(out), n_pairs, 4)
-    out[:, 1:][(slice(None), *_chart_index(d))] = entries
-    for k in range(2, n_pairs + 1):
-        out[:, k] = out[:, k - 1] @ out[:, k]
-    return out.reshape(batch + out.shape[1:])
-
-
-def _chart_trig(params: np.ndarray):
-    theta, phi = params[..., 0::2], params[..., 1::2]
-    return np.cos(theta), np.sin(theta), np.exp(1j * phi)
-
-
-def unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
-    """Build a basis unitary from d*(d-1) angles (theta, phi per pair)."""
-    return _givens_prefixes(*_chart_trig(np.asarray(params, dtype=float)), d)[..., -1, :, :]
-
-
-def unitary_from_params_vjp(params: np.ndarray, d: int):
-    """unitary_from_params plus its reverse-mode derivative.
-
-    For U = G_1 ... G_K, the derivative in pair k's angles only sees the
-    block entries of P_{k-1}^H grad U^H P_k, since the suffix
-    G_{k+1} ... G_K equals P_k^H U.  All K products come out of one batched
-    matmul on the stored prefixes, and fancy indexing reads off the blocks.
-    """
-    c, s, e = _chart_trig(np.asarray(params, dtype=float))
-    prefixes = _givens_prefixes(c, s, e, d)
-    u = prefixes[..., -1, :, :]
-
-    def vjp(grad_u: np.ndarray) -> np.ndarray:
-        m = (adjoint(prefixes[..., :-1, :, :]) @ (grad_u @ adjoint(u))[..., np.newaxis, :, :]
-             @ prefixes[..., 1:, :, :])
-        b = m[(Ellipsis, *_chart_index(d))].conj()
-        # Re sum(b * d entries): d/dtheta entries are (-s, -s, -c e, c conj(e)),
-        # d/dphi entries (0, 0, -i s e, -i s conj(e))
-        eb_ij, eb_ji = e * b[..., 2], e.conj() * b[..., 3]
-        out = np.empty(c.shape[:-1] + (2 * c.shape[-1],))
-        out[..., 0::2] = c * (eb_ji - eb_ij).real - s * (b[..., 0] + b[..., 1]).real
-        out[..., 1::2] = s * (eb_ij + eb_ji).imag
-        return out
-
-    return u, vjp
-
-
-def params_from_unitary(v: np.ndarray) -> np.ndarray:
-    """Invert the chart by Givens QR.  The reconstruction equals v up to
-    per-column phases, i.e. it is the same measurement basis."""
-    w = np.array(v, dtype=np.complex128)
-    d = w.shape[0]
-    params = np.zeros(n_basis_params(d))
-    k = 0
-    for c, r in pair_order(d):
-        a = w[c, c]
-        b = w[r, c]
-        if abs(b) < 1e-300:
-            theta, phi = 0.0, 0.0
-        elif abs(a) < 1e-300:
-            theta, phi = np.pi / 2, float(-np.angle(b))
-        else:
-            theta = float(np.arctan2(abs(b), abs(a)))
-            phi = float(np.angle(a) - np.angle(b))
-        params[k] = theta
-        params[k + 1] = phi
-        k += 2
-        ct, st = np.cos(theta), np.sin(theta)
-        row_c = w[c, :].copy()
-        row_r = w[r, :].copy()
-        w[c, :] = ct * row_c + st * np.exp(1j * phi) * row_r
-        w[r, :] = -st * np.exp(-1j * phi) * row_c + ct * row_r
-    return params
-
-
 def n_isometry_params(n_out: int, d: int) -> int:
     return 2 * n_out * d
 
@@ -254,6 +137,17 @@ def isometry_from_params_vjp(params: np.ndarray, n_out: int, d: int):
 def params_from_isometry(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=np.complex128)
     return np.concatenate([w.real.ravel(), w.imag.ravel()])
+
+
+def unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
+    """The basis unitary U = W^H of the chart's n_out = d case."""
+    return adjoint(isometry_from_params(params, d, d))
+
+
+def params_from_unitary(v: np.ndarray) -> np.ndarray:
+    """Parameters of the basis with columns v: those of the rows W = v^H,
+    which the chart reproduces."""
+    return params_from_isometry(adjoint(np.asarray(v)))
 
 
 @dataclass(frozen=True)
@@ -397,9 +291,11 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
 
 def multistart_minimize(objective, start_points, n_random: int, random_start,
                         cfg: OptimizerConfig) -> SearchResult:
-    """L-BFGS from every structured start plus n_random seeded random
-    starts, all in lockstep (see the module docstring); returns the best
-    start, NaN values ranking last, with every start's record.
+    """L-BFGS from every distinct structured start plus n_random seeded
+    random starts, all in lockstep (see the module docstring); returns the
+    best start, NaN values ranking last, with every start's record.  A
+    structured start equal to an earlier one is dropped, so n_starts counts
+    the starts that ran.
 
     The objective is batched: given stacked points (S, n) it returns values
     (S,) and gradients (S, n).  random_start(rng) must produce a parameter
@@ -407,7 +303,12 @@ def multistart_minimize(objective, start_points, n_random: int, random_start,
     so results do not depend on evaluation order and are monotone in the
     number of restarts.
     """
-    starts = [np.asarray(s, dtype=float) for s in start_points]
+    starts = []
+    for s in start_points:
+        s = np.asarray(s, dtype=float)
+        # a repeated structured start would only rerun the same path
+        if not any(np.array_equal(s, seen) for seen in starts):
+            starts.append(s)
     for k in range(n_random):
         rng = as_rng([cfg.seed, k])
         starts.append(np.asarray(random_start(rng), dtype=float))

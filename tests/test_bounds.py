@@ -76,6 +76,15 @@ def test_purity_total_bound_endpoints():
         purity_total_bound(np.eye(2) / 2, 2, 2)
 
 
+def test_single_system_bounds_reject_a_state_of_the_wrong_dimension():
+    with pytest.raises(DimensionMismatchError):
+        purity_total_bound(np.eye(3) / 3, 2, 3)
+    with pytest.raises(DimensionMismatchError):
+        purity_total_bound(random_density_matrix(2, 2, rng=as_rng(3)), 2, 3)
+    with pytest.raises(DimensionMismatchError):
+        entropic_sum(np.eye(3) / 3, mub_family(2, 3))
+
+
 def test_state_independent_bound_values():
     value, cap = state_independent_bound(3)
     assert value == pytest.approx(4 * np.log2(1.5), abs=1e-15)

@@ -31,7 +31,12 @@ from qcorr.measures import (
 )
 from qcorr import measures
 from qcorr.optimize import OptimizerConfig, multistart_minimize
-from qcorr.states import bell_diagonal_state, classical_quantum_state, trine_povm_optimum
+from qcorr.states import (
+    bell_diagonal_state,
+    classical_quantum_state,
+    trine_povm_optimum,
+    werner_state,
+)
 
 LIGHT = OptimizerConfig(restarts=3, max_iters=200, seed=0)
 
@@ -106,6 +111,9 @@ def test_joint_distribution_validation_and_marginals():
         JointDistribution(np.array([[0.9, -0.1], [0.1, 0.1]]))
     with pytest.raises(InvalidStateError):
         JointDistribution(np.array([[0.4, 0.4], [0.4, 0.4]]))
+    for not_2d in (np.array([0.5, 0.5]), np.full((2, 2, 2), 0.125)):
+        with pytest.raises(DimensionMismatchError):
+            classical_mutual_info(not_2d)
 
 
 def test_stacked_table_checks_match_joint_distribution_per_table():
@@ -243,15 +251,28 @@ def test_maximize_mi_povm_with_both_sides_fixed_evaluates_them(monkeypatch):
 def test_one_sided_seeding_search_runs_each_free_basis_once(monkeypatch):
     starts = []
 
-    def counted(objective, start_points, n_random, random_start, cfg):
-        starts.append(len(start_points) + n_random)
-        return multistart_minimize(objective, start_points, n_random, random_start, cfg)
+    def counted(*args):
+        res = multistart_minimize(*args)
+        starts.append(res.n_starts)
+        return res
 
     monkeypatch.setattr(measures, "multistart_minimize", counted)
     trine_povm_optimum(OptimizerConfig(restarts=8, seed=0))
     # Alice is fixed, so the seed pairs give Bob I, F, v_B, I, F: three distinct
-    # bases plus eight random starts
-    assert starts[0] == 11
+    # bases plus eight random starts.  Bob's best basis is then the identity,
+    # so his POVM seeds (embedded basis, Fourier frame, frame times basis)
+    # repeat the frame: two distinct seeds plus eight random starts
+    assert starts == [11, 10]
+
+
+def test_seed_pairs_repeated_on_maximally_mixed_marginals_run_once():
+    # the marginal eigenbases are the identity, so each search runs one
+    # structured start fewer: five of six seed pairs at 2x2, four of five at
+    # 3x3, and one of the Holevo search's two seeds, plus eight random starts
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    for rho, n_projective in ((bell_diagonal_state([-1, -1, -1]), 13), (werner_state(3, 0.55), 12)):
+        assert maximize_mi_projective(rho, cfg).n_starts == n_projective
+        assert classical_correlation_a(rho, cfg).n_starts == 9
 
 
 def test_conditional_states_b_recovers_cq_branches():

@@ -8,9 +8,7 @@ from qcorr.optimize import (
     _lbfgs_direction,
     isometry_from_params,
     multistart_minimize,
-    n_basis_params,
     n_isometry_params,
-    pair_order,
     params_from_isometry,
     params_from_unitary,
     unitary_from_params,
@@ -27,16 +25,15 @@ def projectors_match(u, v, atol=1e-9):
     return True
 
 
-def test_pair_order_and_param_counts():
-    assert pair_order(3) == [(0, 1), (0, 2), (1, 2)]
-    assert n_basis_params(2) == 2
-    assert n_basis_params(4) == 12
+def test_param_counts():
+    assert n_isometry_params(2, 2) == 8
+    assert n_isometry_params(4, 4) == 32
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_unitary_from_params_is_unitary(d):
     rng = as_rng([d, 0])
-    params = rng.uniform(0, 2 * np.pi, n_basis_params(d))
+    params = rng.uniform(0, 2 * np.pi, n_isometry_params(d, d))
     u = unitary_from_params(params, d)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(d), atol=1e-11)
 
@@ -93,6 +90,13 @@ def test_multistart_finds_quadratic_minimum():
     np.testing.assert_allclose(res.params, 0.7, atol=1e-3)
     assert res.n_starts == 5
     assert len(res.nfev) == len(res.nit) == 5 and res.status == (0,) * 5 and res.n_converged == 5
+
+
+def test_multistart_runs_each_distinct_structured_start_once():
+    cfg = OptimizerConfig(restarts=2, seed=0)
+    res = multistart_minimize(quadratic, [np.zeros(3), np.ones(3), np.zeros(3)], cfg.restarts,
+                              lambda rng: rng.uniform(-2, 2, 3), cfg)
+    assert res.n_starts == 4 and len(res.nfev) == 4
 
 
 def test_multistart_is_deterministic_and_monotone_in_restarts():
