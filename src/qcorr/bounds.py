@@ -242,11 +242,9 @@ def mub_information_report(
 
     The outcome tables of all the bases are computed as one stack from
     mubs.effects, checked as joint distributions and turned into mi values in
-    one pass; the values equal those of joint_distribution per basis."""
-    if mubs.dim != rho.dim_a:
-        raise UnsupportedDimensionError(
-            f"mub dimension {mubs.dim} does not match dim_a {rho.dim_a}"
-        )
+    one pass; the values equal those of joint_distribution per basis.  A
+    family or a Bob measurement whose dimension differs from the state's
+    side raises DimensionMismatchError."""
     bob = _as_povm(bob_povm)
     _check_meas_dims(rho, mubs.dim, bob.dim)
     tables = _checked_tables(_outcome_table(rho, mubs.effects, bob.effects))

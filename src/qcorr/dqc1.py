@@ -22,7 +22,16 @@ lockstep golden-section blocks of bounded size, whose round count depends
 only on the grid.
 The polish keeps the best value it has seen, so no maximum is below the
 best grid value, and a scan row equals the single-polarization call
-bitwise.
+bitwise.  The cosine table is built by angle addition, cos phi cos theta +
+sin phi sin theta, so a table costs products, not a cosine per cell.
+
+A Haar draw's eigenphases come from its Cayley transform: for a unitary u
+with no eigenvalue -1, i (1 + u)^-1 (1 - u) is Hermitian with eigenvalues
+tan(theta / 2), so one linear solve and one Hermitian eigvalsh give the
+phases as 2 arctan, several times faster than a general eigvals of u.  A
+Haar draw has the eigenvalue -1 with probability zero.  A caller's unitary
+may well have it (where 1 + u is singular), so `Dqc1Model.from_unitary`
+keeps the general eigvals.
 
 All entropies are in bits.
 """
@@ -44,7 +53,9 @@ from .optimize import OptimizerConfig
 
 MAX_EXPLICIT_N = 6
 MAX_HAAR_N = 11
-# a scan holds a (grid / 2) x 2**n float table and temporaries: 1.2 GB at n = 16
+# a scan holds a (grid / 2) x 2**n float table and temporaries: with 101 steps
+# n = 15 peaks at 0.48 GB in 33 s (2-core machine, one BLAS thread), and each
+# qubit doubles both, so n = 16 needs about 1 GB
 MAX_SCAN_N = 16
 # azimuth grid points over 2 pi, and the final bracket width of the polish
 _GRID = 720
@@ -97,11 +108,12 @@ class Dqc1Model:
             )
         from .linalg import random_unitary
 
-        u = random_unitary(2**n, as_rng(seed))
-        return cls(n=n, alpha=alpha, phases=np.sort(np.angle(np.linalg.eigvals(u))))
+        return cls(n=n, alpha=alpha, phases=_cayley_phases(random_unitary(2**n, as_rng(seed))))
 
     @classmethod
     def from_unitary(cls, alpha: float, u: np.ndarray) -> "Dqc1Model":
+        """Eigenphases of a given unitary, from a general eigendecomposition:
+        unlike a Haar draw, a caller's unitary may have the eigenvalue -1."""
         u = np.asarray(u, dtype=np.complex128)
         dim = u.shape[0]
         if u.shape != (dim, dim) or np.linalg.norm(u @ u.conj().T - np.eye(dim)) > 1e-9:
@@ -110,6 +122,26 @@ class Dqc1Model:
         if 2**n != dim:
             raise InvalidStateError(f"unitary dimension {dim} is not a power of two")
         return cls(n=n, alpha=alpha, phases=np.sort(np.angle(np.linalg.eigvals(u))))
+
+
+def _cayley_phases(u: np.ndarray) -> np.ndarray:
+    """Ascending eigenphases in (-pi, pi) of a unitary u without the
+    eigenvalue -1, as 2 arctan of the eigenvalues tan(theta / 2) of the
+    Hermitian Cayley transform i (1 + u)^-1 (1 - u).  Overwrites u.
+
+    The solve leaves a Hermitian defect of order eps |h|, and |h| grows as
+    an eigenphase nears pi; eigvalsh of one triangle would carry that into
+    every eigenvalue, so the Hermitian part is taken (doubled, then halved
+    exactly in the eigenvalues)."""
+    diag = np.diag_indices(u.shape[0])
+    x = np.negative(u)
+    x[diag] += 1.0
+    u[diag] += 1.0
+    x = np.linalg.solve(u, x)
+    # i (x - x^H) is twice the Hermitian part of i x
+    x -= x.conj().T
+    x *= 1j
+    return 2.0 * np.arctan(0.5 * np.linalg.eigvalsh(x))
 
 
 def exact_normalized_trace(model: Dqc1Model) -> complex:
@@ -146,8 +178,12 @@ def dqc1_quantum_mi(model: Dqc1Model) -> float:
 
 
 def _cos_table(phases: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """cos(theta_s - phi_k), one row per azimuth phi_k."""
-    return np.cos(phases[None, :] - phis[:, None])
+    """cos(theta_s - phi_k), one row per azimuth phi_k, as
+    cos phi_k cos theta_s + sin phi_k sin theta_s: two cosines and two sines
+    per row and column, and products on the table."""
+    table = np.multiply.outer(np.cos(phis), np.cos(phases))
+    table += np.multiply.outer(np.sin(phis), np.sin(phases))
+    return table
 
 
 def _record_mi_curve(alpha, beta, phis: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -156,7 +192,10 @@ def _record_mi_curve(alpha, beta, phis: np.ndarray, table: np.ndarray) -> np.nda
     `_cos_table`; alpha and beta broadcast against phis."""
     along = beta.real * np.cos(phis) + beta.imag * np.sin(phis)
     first = binary_entropy((1 + along) / 2)
-    return first - binary_entropy((1 + alpha * table) / 2).mean(axis=-1)
+    # 0.5 + (alpha / 2) c equals (1 + alpha c) / 2 bitwise: halving is exact
+    p = table * (0.5 * alpha)
+    p += 0.5
+    return first - binary_entropy(p).mean(axis=-1)
 
 
 def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int) -> np.ndarray:
@@ -166,6 +205,8 @@ def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int) -> np.ndarra
     The grid argmax runs one polarization at a time; the polish runs in
     blocks of polarizations (see `_polish`).
     """
+    if grid < 1:
+        raise ValueError(f"grid needs at least one azimuth point, got grid={grid}")
     alphas = np.asarray(alphas, dtype=float)
     betas = alphas * exact_normalized_trace(model)
     phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
@@ -233,7 +274,7 @@ def dqc1_max_record_mi(model: Dqc1Model, grid: int = _GRID) -> float:
     bracket of 1e-12 rad, and the best value seen is returned, so the
     result is never below the best grid value.  `dqc1_scan` runs the same
     search for all its polarizations in one batch, with bitwise equal
-    results.
+    results.  A grid below one point raises ValueError.
     """
     return float(_max_record_mi(model, np.array([model.alpha]), grid)[0])
 

@@ -15,6 +15,9 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 EIG_CLAMP = 1e-10
 PROB_CLAMP = 1e-12
+# floor for the logarithms of every entropy and gradient kernel: the
+# smallest normal float
+LOG_FLOOR = np.finfo(float).tiny
 
 
 class InvalidStateError(ValueError):
@@ -133,16 +136,33 @@ def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _clean_probs(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     low = p.min() if p.size else 0.0
-    if low < -PROB_CLAMP:
-        raise InvalidStateError(f"probability {low:.3e} below clamp threshold")
+    # written so that NaN fails it
+    if not low >= -PROB_CLAMP:
+        raise InvalidStateError(f"probability {low:.3e} is NaN or below the clamp threshold")
     return np.clip(p, 0.0, None)
 
 
+def _log2_floored(x: np.ndarray) -> np.ndarray:
+    """log2 with zero, negative and NaN entries raised to LOG_FLOOR, as a
+    new array.  Such an entry's log only multiplies a derivative that
+    vanishes with it, or a zero in a value sum, so it adds exactly nothing."""
+    out = np.fmax(x, LOG_FLOOR, out=np.empty(np.shape(x)))
+    return np.log2(out, out=out)
+
+
 def xlog2x(x) -> np.ndarray:
-    """Elementwise x log2 x, taken as 0 wherever x <= 0."""
-    x = np.asarray(x, dtype=float)
-    pos = x > 0.0
-    return np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
+    """Elementwise x log2 x, taken as 0 wherever x <= 0 or x is NaN.
+
+    Computed as max(x, 0) log2(max(x, LOG_FLOOR)) with no masks, so below
+    the smallest normal float the logarithm is floored: a subnormal x
+    (under 2.3e-308) is off by less than 1e-305.
+    """
+    x = np.fmax(np.asarray(x, dtype=float), 0.0)
+    out = _log2_floored(x)
+    out *= x
+    # 0 times a negative log is -0.0; adding 0.0 makes it 0.0
+    out += 0.0
+    return out
 
 
 def shannon_entropy(p: np.ndarray) -> float:
@@ -153,13 +173,25 @@ def shannon_entropy(p: np.ndarray) -> float:
 def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
     """Entropy in bits of the distribution {p, 1 - p}, elementwise over an
     array of p (a float for scalar p).  Round-off outside [0, 1] up to
-    PROB_CLAMP is clipped; anything further out raises."""
+    PROB_CLAMP is clipped; anything further out, or NaN, raises."""
     p = np.asarray(p, dtype=float)
-    if p.size and (p.min() < -PROB_CLAMP or p.max() > 1.0 + PROB_CLAMP):
-        raise InvalidStateError("binary entropy needs p in [0, 1]")
-    p = np.clip(p, 0.0, 1.0)
-    # + 0.0 turns -0.0 into 0.0
-    h = -xlog2x(p) - xlog2x(1.0 - p) + 0.0
+    if p.size:
+        low, high = p.min(), p.max()
+        # written so that NaN fails it
+        if not (low >= -PROB_CLAMP and high <= 1.0 + PROB_CLAMP):
+            raise InvalidStateError("binary entropy needs p in [0, 1], not NaN")
+        if low < 0.0 or high > 1.0:
+            p = np.clip(p, 0.0, 1.0)
+    # xlog2x without its clamp, which p in [0, 1] does not need
+    q = 1.0 - p
+    h = _log2_floored(p)
+    h *= p
+    lq = _log2_floored(q)
+    lq *= q
+    # -(a + b) equals -a - b bitwise; adding 0.0 turns -0.0 into 0.0
+    h += lq
+    np.negative(h, out=h)
+    h += 0.0
     return float(h) if h.ndim == 0 else h
 
 

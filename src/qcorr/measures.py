@@ -22,6 +22,7 @@ from .linalg import (
     DimensionMismatchError,
     InvalidStateError,
     UnsupportedDimensionError,
+    _log2_floored,
     _qr_with_phases,
     adjoint,
     as_rng,
@@ -45,8 +46,6 @@ from .optimize import (
 
 MAX_OPT_DIM = 16
 ZERO_PROB = 1e-12
-# floor for the logarithms in gradients: the smallest normal float
-LOG_FLOOR = np.finfo(float).tiny
 DEGENERACY_GAP = 1e-8
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -95,13 +94,6 @@ def _outcome_table(rho: DensityMatrix, effects_a: np.ndarray, effects_b: np.ndar
     Kronecker product."""
     blocks = _conditional_blocks(_r4(rho), effects_a)
     return np.einsum("sBb,...ibB->...is", effects_b, blocks).real
-
-
-def _log2_floored(x: np.ndarray) -> np.ndarray:
-    """log2 with zero and round-off-negative entries raised to LOG_FLOOR.
-    Such an entry's log only multiplies a derivative that vanishes with it,
-    or a zero in a value sum, so it adds exactly nothing."""
-    return np.log2(np.maximum(x, LOG_FLOOR))
 
 
 def _mi_value_grad(rho_mat: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
@@ -238,12 +230,14 @@ def _as_povm(meas) -> Povm:
 
 
 def _checked_tables(table) -> np.ndarray:
-    """Outcome tables (..., n_a, n_b) checked as joint distributions: an
-    entry below -PSD_TOL or a table sum off one by more than 1e-9 raises,
-    and the round-off negatives that pass are clipped to zero."""
+    """Outcome tables (..., n_a, n_b) checked as joint distributions: a NaN
+    entry, an entry below -PSD_TOL or a table sum off one by more than 1e-9
+    raises, and the round-off negatives that pass are clipped to zero."""
     t = np.array(table, dtype=float)
-    if t.min() < -PSD_TOL:
-        raise InvalidStateError(f"negative joint probability {t.min():.3e}")
+    low = t.min()
+    # written so that NaN fails it
+    if not low >= -PSD_TOL:
+        raise InvalidStateError(f"negative or NaN joint probability {low:.3e}")
     sums = t.sum(axis=(-2, -1)).ravel()
     worst = sums[np.argmax(np.abs(sums - 1.0))]
     if abs(worst - 1.0) > 1e-9:

@@ -138,7 +138,7 @@ def test_report_full_set_carries_every_bound_and_rows():
 def test_report_rejects_mismatched_dimensions():
     fam = mub_family(3, 2)
     bob = Povm.from_basis(ProjectiveBasis.computational(2))
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(DimensionMismatchError):
         mub_information_report(BELL, fam, bob)
 
 

@@ -14,7 +14,13 @@ from qcorr.dqc1 import (
     exact_normalized_trace,
     trace_estimate,
 )
-from qcorr.linalg import InvalidStateError, UnsupportedDimensionError, partial_trace
+from qcorr.linalg import (
+    InvalidStateError,
+    UnsupportedDimensionError,
+    as_rng,
+    partial_trace,
+    random_unitary,
+)
 from qcorr.measures import (
     ProjectiveBasis,
     classical_mutual_info,
@@ -48,6 +54,23 @@ def test_constructors():
         Dqc1Model.from_unitary(0.5, np.eye(3, dtype=complex))
     with pytest.raises(UnsupportedDimensionError, match="capped at n=11"):
         Dqc1Model.haar(12, 0.5)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_haar_phases_match_a_general_eigendecomposition(seed):
+    for n in range(1, 9):
+        want = np.sort(np.angle(np.linalg.eigvals(random_unitary(2**n, as_rng(seed)))))
+        got = Dqc1Model.haar(n, 0.5, seed=seed).phases
+        assert np.all(np.diff(got) >= 0)
+        # distances on the circle: a phase near +-pi may wrap
+        dist = np.abs(np.angle(np.exp(1j * (got[:, None] - want[None, :]))))
+        assert dist.min(axis=1).max() < 1e-12
+        assert dist.min(axis=0).max() < 1e-12
+
+
+def test_from_unitary_takes_the_eigenvalue_minus_one():
+    model = Dqc1Model.from_unitary(0.5, np.diag([1, -1, 1j, -1j]))
+    np.testing.assert_allclose(model.phases, [-np.pi / 2, 0.0, np.pi / 2, np.pi], atol=1e-15)
 
 
 def test_exact_normalized_trace():
@@ -124,6 +147,15 @@ def test_max_record_mi_never_below_full_grid(grid):
             for model in (Dqc1Model.uniform(n, alpha), Dqc1Model.haar(n, alpha, seed=n)):
                 best = dqc1_max_record_mi(model, grid)
                 assert all(best >= dqc1_record_mi(model, phi) - 1e-12 for phi in phis)
+
+
+def test_max_record_mi_rejects_an_empty_grid():
+    model = Dqc1Model.uniform(2, 0.5)
+    for grid in (0, -3):
+        with pytest.raises(ValueError, match="grid="):
+            dqc1_max_record_mi(model, grid)
+        with pytest.raises(ValueError, match="grid="):
+            dqc1_nonclassicality(model, grid)
 
 
 def test_nonclassicality_zero_without_polarization():

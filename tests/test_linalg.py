@@ -21,6 +21,7 @@ from qcorr.linalg import (
     swap_sides,
     tensor_product,
     von_neumann_entropy,
+    xlog2x,
 )
 
 SINGLET = np.array(
@@ -110,6 +111,8 @@ def test_shannon_entropy_known_values():
 def test_shannon_entropy_rejects_clearly_negative_input():
     with pytest.raises(InvalidStateError):
         shannon_entropy([1.1, -0.1])
+    with pytest.raises(InvalidStateError):
+        shannon_entropy([np.nan, 0.5, 0.5])
 
 
 def test_binary_entropy_endpoints():
@@ -125,6 +128,25 @@ def test_binary_entropy_takes_arrays_and_rejects_non_probabilities():
     assert h.tolist() == [[binary_entropy(float(x)) for x in row] for row in p]
     with pytest.raises(InvalidStateError):
         binary_entropy(np.array([0.5, 1.1]))
+    with pytest.raises(InvalidStateError):
+        binary_entropy(np.array([0.5, np.nan]))
+
+
+def _masked_xlog2x(x):
+    """The masked x log2 x formula, as a reference for the kernel."""
+    x = np.asarray(x, dtype=float)
+    pos = x > 0.0
+    with np.errstate(invalid="ignore"):  # -inf * log2(1.0)
+        return np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
+
+
+def test_xlog2x_equals_the_masked_formula_bitwise():
+    special = np.array([0.0, -0.0, 1.0, 0.5, 2.0, -0.25, -3.0, np.nan, np.inf, -np.inf])
+    wide = np.random.default_rng(0).uniform(-0.5, 1.5, (360, 256))
+    for x in (special, np.float64(0.3), np.array(0.0), np.array(-2.0), wide):
+        got, want = xlog2x(x), _masked_xlog2x(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_von_neumann_entropy_pure_and_mixed():

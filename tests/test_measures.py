@@ -111,6 +111,8 @@ def test_joint_distribution_validation_and_marginals():
         JointDistribution(np.array([[0.9, -0.1], [0.1, 0.1]]))
     with pytest.raises(InvalidStateError):
         JointDistribution(np.array([[0.4, 0.4], [0.4, 0.4]]))
+    with pytest.raises(InvalidStateError):
+        classical_mutual_info([[np.nan, 0.5], [0.25, 0.25]])
     for not_2d in (np.array([0.5, 0.5]), np.full((2, 2, 2), 0.125)):
         with pytest.raises(DimensionMismatchError):
             classical_mutual_info(not_2d)
@@ -123,7 +125,8 @@ def test_stacked_table_checks_match_joint_distribution_per_table():
     assert np.array_equal(checked[1], JointDistribution(good.T).table)
     negative = np.array([[0.5, -2e-10], [0.25, 0.25 + 2e-10]])
     off_sum = np.array([[0.5, 0.0], [0.25, 0.25 + 2e-9]])
-    for bad in (negative, off_sum):
+    not_a_number = np.array([[np.nan, 0.5], [0.25, 0.25]])
+    for bad in (negative, off_sum, not_a_number):
         with pytest.raises(InvalidStateError):
             JointDistribution(bad)
         with pytest.raises(InvalidStateError):
