@@ -129,10 +129,10 @@ def _cayley_phases(u: np.ndarray) -> np.ndarray:
     eigenvalue -1, as 2 arctan of the eigenvalues tan(theta / 2) of the
     Hermitian Cayley transform i (1 + u)^-1 (1 - u).  Overwrites u.
 
-    The solve leaves a Hermitian defect of order eps |h|, and |h| grows as
-    an eigenphase nears pi; eigvalsh of one triangle would carry that into
-    every eigenvalue, so the Hermitian part is taken (doubled, then halved
-    exactly in the eigenvalues)."""
+    The solve leaves the transform a Hermitian defect that grows with its
+    norm, which grows as an eigenphase nears pi; eigvalsh of one triangle
+    would carry that defect into every eigenvalue, so the Hermitian part is
+    taken (doubled, then halved exactly in the eigenvalues)."""
     diag = np.diag_indices(u.shape[0])
     x = np.negative(u)
     x[diag] += 1.0
@@ -179,8 +179,8 @@ def dqc1_quantum_mi(model: Dqc1Model) -> float:
 
 def _cos_table(phases: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """cos(theta_s - phi_k), one row per azimuth phi_k, as
-    cos phi_k cos theta_s + sin phi_k sin theta_s: two cosines and two sines
-    per row and column, and products on the table."""
+    cos phi_k cos theta_s + sin phi_k sin theta_s: one cosine and one sine
+    per row and per column, and two products and a sum per cell."""
     table = np.multiply.outer(np.cos(phis), np.cos(phases))
     table += np.multiply.outer(np.sin(phis), np.sin(phases))
     return table
