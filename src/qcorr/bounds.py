@@ -198,8 +198,9 @@ def entropic_sum(rho_a: DensityMatrix | np.ndarray, mubs: MubFamily) -> float:
     (which would indicate a numerical bug, not physics)."""
     m = _single_system(rho_a, mubs.dim)
     probs = np.einsum("cia,ab,cib->ci", mubs.rows, m, mubs.rows.conj()).real
-    # the entropies of the bases' distributions sum to the entropy of their stack
-    total = shannon_entropy(np.clip(probs, 0.0, None))
+    # the entropies of the bases' distributions sum to the entropy of their
+    # stack; a trace off by up to TRACE_TOL can put a probability above one
+    total = shannon_entropy(np.clip(probs, 0.0, 1.0))
     floor = entropic_sum_bound(mubs.dim, mubs.count)
     if total < floor - BOUND_SLACK:
         raise RuntimeError(

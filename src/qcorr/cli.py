@@ -51,16 +51,6 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_default(x):
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    raise TypeError(f"not JSON serializable: {type(x)}")
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -70,7 +60,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n", out)
+    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
 
 
 def _config_from(args) -> OptimizerConfig:

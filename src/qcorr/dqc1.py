@@ -166,6 +166,14 @@ def build_explicit_state(model: Dqc1Model) -> DensityMatrix:
     return DensityMatrix(big.reshape(2 * size, 2 * size), 2, size)
 
 
+def _quantum_mi(alphas, trace: complex) -> np.ndarray:
+    """Quantum mutual information at each polarization in alphas, for a
+    register whose normalized trace is `trace`: one binary_entropy call on
+    both terms."""
+    h = binary_entropy((1 + np.stack([alphas * abs(trace), alphas])) / 2)
+    return h[0] - h[1]
+
+
 def dqc1_quantum_mi(model: Dqc1Model) -> float:
     """Mutual information between control and register, in closed form.
 
@@ -173,8 +181,7 @@ def dqc1_quantum_mi(model: Dqc1Model) -> float:
     2**n copies of the control spectrum, so only two binary entropies
     survive.
     """
-    beta = model.alpha * abs(exact_normalized_trace(model))
-    return binary_entropy((1 + beta) / 2) - binary_entropy((1 + model.alpha) / 2)
+    return float(_quantum_mi(model.alpha, exact_normalized_trace(model)))
 
 
 def _cos_table(phases: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -198,9 +205,11 @@ def _record_mi_curve(alpha, beta, phis: np.ndarray, table: np.ndarray) -> np.nda
     return first - binary_entropy(p).mean(axis=-1)
 
 
-def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int) -> np.ndarray:
+def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int,
+                   trace: complex) -> np.ndarray:
     """Best record information over the azimuth at each polarization in
-    alphas, for the eigenphases of `model` (its own alpha is not used).
+    alphas, for the eigenphases of `model` (its own alpha is not used) and
+    their normalized trace.
 
     The grid argmax runs one polarization at a time; the polish runs in
     blocks of polarizations (see `_polish`).
@@ -208,7 +217,7 @@ def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int) -> np.ndarra
     if grid < 1:
         raise ValueError(f"grid needs at least one azimuth point, got grid={grid}")
     alphas = np.asarray(alphas, dtype=float)
-    betas = alphas * exact_normalized_trace(model)
+    betas = alphas * trace
     phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
     table = _cos_table(model.phases, phis)
     best = np.empty_like(alphas)
@@ -276,7 +285,8 @@ def dqc1_max_record_mi(model: Dqc1Model, grid: int = _GRID) -> float:
     search for all its polarizations in one batch, with bitwise equal
     results.  A grid below one point raises ValueError.
     """
-    return float(_max_record_mi(model, np.array([model.alpha]), grid)[0])
+    return float(_max_record_mi(model, np.array([model.alpha]), grid,
+                                exact_normalized_trace(model))[0])
 
 
 def dqc1_nonclassicality(model: Dqc1Model, grid: int = _GRID) -> float:
@@ -322,13 +332,12 @@ def dqc1_scan(
     else:
         raise ValueError(f"unknown phase model {phase_model!r}")
     alphas = np.linspace(0.0, 1.0, alpha_steps)
-    points = []
-    for alpha, best in zip(alphas.tolist(), _max_record_mi(base, alphas, _GRID).tolist()):
-        smut = dqc1_quantum_mi(Dqc1Model(n=n, alpha=alpha, phases=base.phases))
-        points.append(
-            Dqc1Point(alpha=alpha, quantum_mi=smut, max_record_mi=best, nonclassicality=smut - best)
-        )
-    return points
+    trace = exact_normalized_trace(base)
+    return [
+        Dqc1Point(alpha=alpha, quantum_mi=smut, max_record_mi=best, nonclassicality=smut - best)
+        for alpha, smut, best in zip(alphas.tolist(), _quantum_mi(alphas, trace).tolist(),
+                                     _max_record_mi(base, alphas, _GRID, trace).tolist())
+    ]
 
 
 @dataclass(frozen=True)

@@ -133,13 +133,22 @@ def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _clean_probs(p: np.ndarray) -> np.ndarray:
+def _clean_probs(p) -> np.ndarray:
+    """p as a float array of probabilities: every entry must lie in
+    [-PROB_CLAMP, 1 + PROB_CLAMP] and NaN raises.  Round-off outside [0, 1]
+    is clipped, and in-range input is returned unclipped.  The sum is not
+    checked, because bounds.entropic_sum passes a stack of several bases'
+    distributions."""
     p = np.asarray(p, dtype=float)
-    low = p.min() if p.size else 0.0
-    # written so that NaN fails it
-    if not low >= -PROB_CLAMP:
-        raise InvalidStateError(f"probability {low:.3e} is NaN or below the clamp threshold")
-    return np.clip(p, 0.0, None)
+    if p.size:
+        low, high = p.min(), p.max()
+        # written so that NaN fails it
+        if not (low >= -PROB_CLAMP and high <= 1.0 + PROB_CLAMP):
+            raise InvalidStateError(
+                f"probabilities span [{low:.3e}, {high:.3e}], outside [0, 1] or NaN")
+        if low < 0.0 or high > 1.0:
+            p = np.clip(p, 0.0, 1.0)
+    return p
 
 
 def _log2_floored(x: np.ndarray) -> np.ndarray:
@@ -174,14 +183,7 @@ def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
     """Entropy in bits of the distribution {p, 1 - p}, elementwise over an
     array of p (a float for scalar p).  Round-off outside [0, 1] up to
     PROB_CLAMP is clipped; anything further out, or NaN, raises."""
-    p = np.asarray(p, dtype=float)
-    if p.size:
-        low, high = p.min(), p.max()
-        # written so that NaN fails it
-        if not (low >= -PROB_CLAMP and high <= 1.0 + PROB_CLAMP):
-            raise InvalidStateError("binary entropy needs p in [0, 1], not NaN")
-        if low < 0.0 or high > 1.0:
-            p = np.clip(p, 0.0, 1.0)
+    p = _clean_probs(p)
     # xlog2x without its clamp, which p in [0, 1] does not need
     q = 1.0 - p
     h = _log2_floored(p)
@@ -202,7 +204,8 @@ def _eigvals_of(rho: DensityMatrix | np.ndarray) -> np.ndarray:
         raise InvalidStateError(f"negative eigenvalue {vals[0]:.3e}")
     if abs(vals.sum() - 1.0) > 1e-9:
         raise InvalidStateError(f"trace {vals.sum():.12f} differs from 1")
-    if vals[0] < 0.0:
+    # a trace off by up to TRACE_TOL can put the top eigenvalue above one
+    if vals[0] < 0.0 or vals[-1] > 1.0:
         vals = np.clip(vals, 0.0, None)
         vals /= vals.sum()
     return vals
@@ -210,8 +213,8 @@ def _eigvals_of(rho: DensityMatrix | np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     """Von Neumann entropy in bits.  Eigenvalues in [-1e-10, 0) are clamped
-    to zero and the rest renormalized to sum to one; anything more negative
-    raises."""
+    to zero, and the spectrum is renormalized to sum to one whenever it
+    leaves [0, 1]; anything more negative raises."""
     return shannon_entropy(_eigvals_of(rho))
 
 
@@ -228,16 +231,14 @@ def fourier_matrix(d: int) -> np.ndarray:
 
 
 def _qr_with_phases(z: np.ndarray):
-    """QR of a matrix, or a stack of them, with the phases ph of R's
-    diagonal folded into Q: returns (Q diag(ph), R, ph).  Q diag(ph) is the
-    Q of the factorization whose R has a positive real diagonal, so an input
-    that already has orthonormal columns comes back unchanged.  A zero
-    diagonal entry gets phase 1."""
+    """Q factor of a matrix, or a stack of them, with the phases ph of R's
+    diagonal folded in: Q diag(ph), the Q of the factorization whose R has a
+    positive real diagonal.  A zero diagonal entry gets phase 1."""
     q, r = np.linalg.qr(z)
     ph = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(ph)
     ph = np.where(mag > 0, ph / np.where(mag > 0, mag, 1.0), 1.0)
-    return q * ph[..., np.newaxis, :], r, ph
+    return q * ph[..., np.newaxis, :]
 
 
 def random_unitary(dim: int, rng: int | np.random.Generator | None = None) -> np.ndarray:
@@ -248,7 +249,7 @@ def random_unitary(dim: int, rng: int | np.random.Generator | None = None) -> np
     """
     rng = as_rng(rng)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    return _qr_with_phases(z)[0]
+    return _qr_with_phases(z)
 
 
 def random_density_matrix(

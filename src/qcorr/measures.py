@@ -10,7 +10,7 @@ nonclassicality / discord figures are upper estimates.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import accumulate
 
@@ -41,7 +41,6 @@ from .optimize import (
     multistart_minimize,
     n_isometry_params,
     params_from_isometry,
-    params_from_unitary,
 )
 
 MAX_OPT_DIM = 16
@@ -218,7 +217,7 @@ class Povm:
         if n_out < d:
             raise ValueError(f"need n_out >= {d}, got {n_out}")
         z = rng.standard_normal((n_out, d)) + 1j * rng.standard_normal((n_out, d))
-        return cls.from_isometry(_qr_with_phases(z)[0])
+        return cls.from_isometry(_qr_with_phases(z))
 
 
 def _as_povm(meas) -> Povm:
@@ -322,15 +321,17 @@ def _check_opt_dims(rho: DensityMatrix) -> None:
 
 
 def _projective_seed_pairs(rho: DensityMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows U^H of the structured basis pairs: computational, Fourier,
+    marginal eigenbases and the two mixed pairs, plus the sigma_y
+    eigenbases on two qubits."""
     da, db = rho.dim_a, rho.dim_b
     ma, mb = marginal_mats(rho)
-    _, va = hermitian_eigen(ma)
-    _, vb = hermitian_eigen(mb)
-    fa, fb = fourier_matrix(da), fourier_matrix(db)
+    va, vb = adjoint(hermitian_eigen(ma)[1]), adjoint(hermitian_eigen(mb)[1])
+    fa, fb = adjoint(fourier_matrix(da)), adjoint(fourier_matrix(db))
     ia, ib = np.eye(da), np.eye(db)
     pairs = [(ia, ib), (fa, fb), (va, vb), (fa, ib), (ia, fb)]
     if da == 2 and db == 2:
-        pairs.append((YBASIS, YBASIS))
+        pairs.append((adjoint(YBASIS), adjoint(YBASIS)))
     return pairs
 
 
@@ -338,49 +339,48 @@ def _projective_seed_pairs(rho: DensityMatrix) -> list[tuple[np.ndarray, np.ndar
 class _Side:
     """One party's measurement in a search.
 
-    chart maps stacked parameters (..., n_params) to stacked measurement
-    rows <k_s| and returns them with the pullback of a rows gradient to the
-    parameters; encode maps a seed (a basis unitary for a basis side, an
-    n_out x d isometry for a POVM side) to parameters; random_start draws a
-    start from an rng; povm decodes final parameters.
+    A free side (fixed is None) is a rank-one POVM with n_out outcomes on d
+    levels, searched on its rows W (n_out x d, W^H W = 1) themselves: its
+    parameters hold a complex matrix, and its rows are that matrix's polar
+    factor, so completeness holds exactly by construction.  A projective
+    basis is the case n_out = d.  A fixed side is the given POVM and has no
+    parameters.  Seeds are row matrices.
     """
 
-    n_params: int
-    chart: Callable
-    encode: Callable
-    random_start: Callable
-    povm: Callable
+    n_out: int
+    d: int
+    fixed: Povm | None = None
+
+    @property
+    def n_params(self) -> int:
+        return 0 if self.fixed is not None else n_isometry_params(self.n_out, self.d)
+
+    def chart(self, x: np.ndarray):
+        """The rows at x and the pullback of a rows gradient there to x's
+        tangent gradient; a fixed side has its rows and no pullback."""
+        if self.fixed is not None:
+            return self.fixed.rows, None
+        return isometry_from_params_vjp(x, self.n_out, self.d)
+
+    def encode(self, rows) -> np.ndarray:
+        return np.empty(0) if self.fixed is not None else params_from_isometry(rows)
+
+    def povm(self, x: np.ndarray) -> Povm:
+        return self.fixed if self.fixed is not None else Povm.from_isometry(
+            isometry_from_params(x, self.n_out, self.d))
 
 
+# Named constructors for the two kinds of side, which the gradient tests
+# build their sides with too.
 def _isometry_side(n_out: int, d: int) -> _Side:
-    """Rank-one POVM with n_out outcomes on the QR chart of an n_out x d
-    complex matrix, so completeness holds exactly by construction."""
-    n = n_isometry_params(n_out, d)
-    return _Side(
-        n, lambda x: isometry_from_params_vjp(x, n_out, d), params_from_isometry,
-        lambda rng: rng.standard_normal(n),
-        lambda x: Povm.from_isometry(isometry_from_params(x, n_out, d)),
-    )
-
-
-def _basis_side(d: int) -> _Side:
-    """Projective basis: the isometry chart's n_out = d case, whose rows are
-    U^H for the basis unitary U.  Seeds are basis unitaries, and random
-    starts are Haar unitaries."""
-    return replace(_isometry_side(d, d), encode=params_from_unitary,
-                   random_start=lambda rng: params_from_unitary(random_unitary(d, rng)))
+    """A free rank-one POVM with n_out outcomes on d levels (a basis when
+    n_out = d)."""
+    return _Side(n_out, d)
 
 
 def _fixed_side(povm: Povm) -> _Side:
-    """A given rank-one POVM: no parameters, and any seed encodes to none."""
-
-    def chart(x):
-        return povm.rows, lambda grad_rows: np.empty(x.shape)
-
-    def no_params(_):
-        return np.empty(0)
-
-    return _Side(0, chart, no_params, no_params, lambda x: povm)
+    """The given rank-one POVM, with no parameters."""
+    return _Side(*povm.rows.shape, fixed=povm)
 
 
 def _param_slices(sides: tuple[_Side, ...]) -> list[slice]:
@@ -390,32 +390,43 @@ def _param_slices(sides: tuple[_Side, ...]) -> list[slice]:
 
 
 def _objective(kernel: Callable, sides: tuple[_Side, ...]):
-    """-kernel and its gradient on the parameters of the sides' charts.
-    kernel takes one row stack per side and returns the value and one rows
-    gradient per side.  Stacked points (S, n) give values (S,) and
-    gradients (S, n)."""
+    """-kernel on the sides' parameters, for the batched L-BFGS.  kernel
+    takes one row stack per side and returns the value and one rows
+    gradient per side.  Stacked points (S, n) give values (S,), the
+    gradients (S, n) of the free sides projected onto the tangent spaces
+    at their rows, and the points (S, n) of those rows, which lie on the
+    manifold."""
     parts = list(zip(sides, _param_slices(sides)))
+
+    def flat(arrays, x):
+        # the empty x[..., :0] gives the batch shape when every side is fixed
+        return np.concatenate(arrays + [x[..., :0]], axis=-1)
 
     def objective(x):
         charts = [side.chart(x[..., part]) for side, part in parts]
-        value, *grads = kernel(*(rows for rows, _ in charts))
+        value, *grads = kernel(*(w for w, _ in charts))
+        free = [(w, pull, g) for (w, pull), g in zip(charts, grads) if pull is not None]
         # with every side fixed the rows carry no batch axis, nor does value
         return (-np.broadcast_to(value, x.shape[:-1]),
-                -np.concatenate([pull(g) for (_, pull), g in zip(charts, grads)], axis=-1))
+                -flat([pull(g) for _, pull, g in free], x),
+                flat([params_from_isometry(w) for w, _, _ in free], x))
 
     return objective
 
 
 def _search(kernel: Callable, sides: tuple[_Side, ...], seeds, cfg: OptimizerConfig):
     """Multi-start L-BFGS maximizing kernel over the sides' measurements,
-    from the seeds (one entry per side each) and cfg.restarts random
-    starts.  Returns the SearchResult, whose value is the minimized
+    from the seeds (one row matrix per side each, anything on a fixed side)
+    and cfg.restarts random starts.  Returns the SearchResult, whose value is the minimized
     -kernel, and the best start's measurement on each side."""
+    # the polar factor of a Gaussian matrix is Haar-distributed, so one
+    # Gaussian draw starts bases and POVMs alike
+    n_params = sum(side.n_params for side in sides)
     res = multistart_minimize(
         _objective(kernel, sides),
         [np.concatenate([side.encode(s) for side, s in zip(sides, seed)]) for seed in seeds],
         cfg.restarts,
-        lambda rng: np.concatenate([side.random_start(rng) for side in sides]),
+        lambda rng: rng.standard_normal(n_params),
         cfg,
     )
     return res, [side.povm(res.params[part]) for side, part in zip(sides, _param_slices(sides))]
@@ -433,18 +444,19 @@ def maximize_mi_projective(
 ) -> MiSearchResult:
     """Search local projective bases for maximal record mutual information.
 
-    Multi-start L-BFGS over the QR chart of both bases (optimize's
-    isometry chart with n_out = d), with the analytic gradient of record mi
-    pulled back through the chart.
-    Structured starts (computational, Fourier, marginal eigenbases, mixed
-    pairs, any extra_seeds) are always refined alongside cfg.restarts random
-    starts, and the best exact evaluation wins.  Deterministic given (rho,
+    Multi-start L-BFGS on both bases' rows U^H themselves, retracted by the
+    polar map, with the analytic gradient of record mi projected onto the
+    tangent space.  Structured starts (computational, Fourier, marginal
+    eigenbases, mixed pairs, any extra_seeds, given as basis unitaries) are
+    always refined alongside cfg.restarts random starts, and the best exact
+    evaluation wins.  Deterministic given (rho,
     cfg.seed, cfg.restarts); monotone in restarts.
     """
     cfg = cfg or OptimizerConfig()
     _check_opt_dims(rho)
-    seeds = _projective_seed_pairs(rho) + list(extra_seeds or [])
-    sides = (_basis_side(rho.dim_a), _basis_side(rho.dim_b))
+    seeds = _projective_seed_pairs(rho) + [(np.conj(ua).T, np.conj(ub).T)
+                                           for ua, ub in extra_seeds or []]
+    sides = (_isometry_side(rho.dim_a, rho.dim_a), _isometry_side(rho.dim_b, rho.dim_b))
     return _mi_result(*_search(partial(_mi_value_grad, rho.mat), sides, seeds, cfg))
 
 
@@ -455,11 +467,12 @@ def _fourier_frame(n_out: int, d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, np.arange(d)) / n_out) / np.sqrt(n_out)
 
 
-def _embed_basis(u: np.ndarray, n_out: int) -> np.ndarray:
-    """Projective basis as an n_out-outcome POVM (extra outcomes never fire)."""
-    d = u.shape[0]
+def _embed_basis(rows: np.ndarray, n_out: int) -> np.ndarray:
+    """Rows of a projective basis as an n_out-outcome POVM (extra outcomes
+    never fire)."""
+    d = rows.shape[0]
     w = np.zeros((n_out, d), dtype=np.complex128)
-    w[:d, :] = u.conj().T
+    w[:d, :] = rows
     return w
 
 
@@ -505,7 +518,7 @@ def _mi_povm_search(rho: DensityMatrix, n_out_a: int, n_out_b: int, cfg: Optimiz
     if proj is not None:
         meas_a, meas_b = proj.meas_a, proj.meas_b
     elif free_a or free_b:
-        sides = tuple(_basis_side(d) if fixed is None else _fixed_side(fixed)
+        sides = tuple(_isometry_side(d, d) if fixed is None else _fixed_side(fixed)
                       for fixed, d in ((fixed_a, da), (fixed_b, db)))
         # a fixed half encodes to no parameters, so seed pairs that differ
         # only there are one start, which multistart_minimize runs once
@@ -514,9 +527,8 @@ def _mi_povm_search(rho: DensityMatrix, n_out_a: int, n_out_b: int, cfg: Optimiz
     def side(fixed, meas, n_out, d):
         if fixed is not None:
             return _fixed_side(fixed), [None]
-        u = meas.rows.conj().T
-        frame = _fourier_frame(n_out, d)
-        return _isometry_side(n_out, d), [_embed_basis(u, n_out), frame, frame @ u.conj().T]
+        frame, rows = _fourier_frame(n_out, d), meas.rows
+        return _isometry_side(n_out, d), [_embed_basis(rows, n_out), frame, frame @ rows]
 
     side_a, seeds_a = side(fixed_a, meas_a, n_out_a, da)
     side_b, seeds_b = side(fixed_b, meas_b, n_out_b, db)
@@ -601,7 +613,7 @@ def classical_correlation_a(
 ) -> HolevoSearchResult:
     """Maximize S(B) - sum_i p_i S(rho_B|i) over measurements on Alice.
 
-    Projective search runs over basis angles; with projective_only=False a
+    Projective search runs over Alice's bases; with projective_only=False a
     rank-one POVM with n_out outcomes (default dim_a**2) is optimized
     instead.  Heuristic lower bound, exact at the returned measurement.
     extra_seeds takes basis unitaries to refine from, e.g. the mi-optimal
@@ -611,9 +623,9 @@ def classical_correlation_a(
     _check_opt_dims(rho)
     da = rho.dim_a
     _, va = hermitian_eigen(marginal_mats(rho)[0])
-    seeds = [np.eye(da), va] + [np.asarray(u) for u in extra_seeds or []]
+    seeds = [np.eye(da), adjoint(va)] + [np.conj(u).T for u in extra_seeds or []]
     if projective_only:
-        side = _basis_side(da)
+        side = _isometry_side(da, da)
     else:
         n_out = n_out or da * da
         if n_out < da:

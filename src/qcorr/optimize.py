@@ -1,31 +1,43 @@
-"""Parameter chart for rank-one measurements, its reverse-mode derivative,
-and a seeded multi-start L-BFGS minimizer.
+"""Searches on the manifold of rank-one measurements: the polar retraction,
+the tangent projection, and a seeded multi-start L-BFGS minimizer.
 
 A rank-one measurement with n_out outcomes on d levels is the n_out x d
 matrix W whose rows are its measurement rows <k_s|; completeness is
-W^H W = 1.  The chart maps 2*n_out*d reals, the real and imaginary parts of
-an unconstrained complex matrix, to the Q factor of its QR decomposition
-with R's diagonal phases folded back in, so that a matrix that already has
-orthonormal columns comes back unchanged, to round-off, and any target
-measurement can be used as a start point.  A projective basis with columns
-U is the case n_out = d, with W = U^H.
+W^H W = 1, so the measurements are the isometries (the complex Stiefel
+manifold).  A projective basis with columns U is the case n_out = d, with
+W = U^H.  The searches run on W itself.  Their 2*n_out*d real parameters
+hold the real and imaginary parts of a complex matrix Z, and
+isometry_from_params maps them to the polar factor of Z, the nearest
+isometry, so a point on the manifold comes back unchanged, to round-off,
+and any measurement can be a start.
 
-Gradients with respect to a complex matrix Z follow one convention: for a
-real function f, grad = df/dRe(Z) + i df/dIm(Z), so that
-df = Re sum(conj(grad) * dZ).  isometry_from_params_vjp returns the chart's
-output together with a function that maps such a gradient on the output to
-the gradient on the real parameters.  The chart and its pullback broadcast
-over leading axes, so params of shape (S, n) give S stacked outputs.
+Gradients with respect to a complex matrix follow one convention: for a
+real function f, grad = df/dRe + i df/dIm, so that
+df = Re sum(conj(grad) * dZ), and params_from_isometry flattens such a
+gradient to the real parameters' gradient.  At an isometry W the gradient
+of f after the polar map is the rows gradient G projected onto the tangent
+space, G - W sym(W^H G) with sym(B) = (B + B^H) / 2 (Edelman, Arias &
+Smith, SIAM J. Matrix Anal. Appl. 20, 303, 1998): the polar map's
+differential at a point of the manifold is that projection (Absil &
+Malick, SIAM J. Optim. 22, 135, 2012); isometry_from_params_vjp returns
+the polar factor with that pullback.  Both broadcast over leading axes, so
+params of shape (S, n) give S stacked outputs.
 
 multistart_minimize runs every start of a search in lockstep.  The starts
 are stacked into one (S, n) array and each round evaluates the objective
-once, on the rows still running.  Each start is its own L-BFGS: the
-compact representation with the last HISTORY curvature pairs, a
-backtracking Armijo line search of at most MAX_TRIALS trials, and stopping
-tests on its own row alone, with scipy's status codes:
+once, on the rows still running.  The objective returns values, gradients
+and the points it evaluated them at: a search on the manifold returns its
+trial points retracted, with the tangent gradients there, and an accepted
+step moves a start to its retracted point, so every start stays on the
+manifold with no vector transport; an unconstrained objective returns its
+input.  Each start is its own L-BFGS: the compact representation with the
+last HISTORY curvature pairs, a backtracking Armijo line search of at most
+MAX_TRIALS trials, and stopping tests on its own row alone, with scipy's
+status codes:
 
-* 0: the largest gradient entry is at most cfg.tolerance, or an accepted
-  step lowered the value by a relative FTOL or less;
+* 0: the largest entry of the (tangent) gradient is at most
+  cfg.tolerance, or an accepted step lowered the value by a relative FTOL
+  or less;
 * 1: cfg.max_iters steps were accepted;
 * 2: the line search failed.
 
@@ -38,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _qr_with_phases, adjoint, as_rng
+from .linalg import adjoint, as_rng
 
 # Lockstep L-BFGS: curvature pairs kept per start, the relative-decrease
 # stopping test (scipy L-BFGS-B's default factr * machine epsilon), the
@@ -73,8 +85,9 @@ class OptimizerConfig:
     restarts counts the random start points; structured seeds (identity,
     Fourier, marginal eigenbases, caller-supplied) are always included on
     top.  Each start runs L-BFGS: max_iters caps its accepted steps (status
-    1) and tolerance is its gradient test (status 0 once the largest
-    gradient entry is at most tolerance).  A start also stops with status 0
+    1) and tolerance is its gradient test (status 0 once the largest entry
+    of the gradient, the tangent gradient in a measurement search, is at
+    most tolerance).  A start also stops with status 0
     when a step lowers the value by a relative FTOL = 2.2e-9 or less, a
     fixed test (about scipy's default ftol) rather than an option.  Results
     are deterministic functions of (problem, seed, restarts) and monotone in
@@ -99,54 +112,53 @@ def n_isometry_params(n_out: int, d: int) -> int:
     return 2 * n_out * d
 
 
-def _isometry_qr(params: np.ndarray, n_out: int, d: int):
-    z = params[..., : n_out * d] + 1j * params[..., n_out * d :]
-    return _qr_with_phases(z.reshape(z.shape[:-1] + (n_out, d)))
-
-
 def isometry_from_params(params: np.ndarray, n_out: int, d: int) -> np.ndarray:
-    """Map 2*n_out*d reals to an n_out x d matrix with orthonormal columns.
+    """Map 2*n_out*d reals to an n_out x d matrix with orthonormal columns:
+    the polar factor U V^H of the complex matrix Z = U S V^H they hold
+    (real parts first), the nearest such matrix to Z.  A matrix that already
+    has orthonormal columns comes back unchanged, to round-off.  Stacked
+    params (..., n) give stacked outputs.
 
-    QR of the unconstrained complex matrix, with the R diagonal's phases
-    folded back in so that an already-isometric input is reproduced exactly.
+    It is taken from an SVD, not as Z (Z^H Z)^(-1/2) from eigh of Z^H Z,
+    which is cheaper but loses orthonormality as the square of Z's
+    condition number and fails on a singular Z.
     """
-    return _isometry_qr(params, n_out, d)[0]
+    z = params[..., : n_out * d] + 1j * params[..., n_out * d :]
+    u, _, vh = np.linalg.svd(z.reshape(z.shape[:-1] + (n_out, d)), full_matrices=False)
+    return u @ vh
 
 
 def isometry_from_params_vjp(params: np.ndarray, n_out: int, d: int):
-    """isometry_from_params plus its reverse-mode derivative.
-
-    The output W and R' = diag(conj(phase)) R are the QR factors of the
-    parameter matrix A with a positive real R' diagonal.  With B = W^H grad_W
-    and C = B - B^H, the pullback is
-    grad_A = (grad_W - W (B - tril(C, -1) - diag(C) / 2)) R'^{-H}.
-    """
-    w, r, ph = _isometry_qr(params, n_out, d)
+    """The rows w = isometry_from_params(params, n_out, d) and the pullback
+    of a rows gradient G at w: the parameters of its tangent part
+    G - w sym(w^H G).  At params on the manifold that is the gradient of
+    f(isometry_from_params(.)), since the polar map's differential there is
+    this projection.  Stacks broadcast."""
+    w = isometry_from_params(params, n_out, d)
 
     def vjp(grad_w: np.ndarray) -> np.ndarray:
         b = adjoint(w) @ grad_w
-        c = b - adjoint(b)
-        x = grad_w - w @ (b - np.tril(c, -1) - 0.5 * c * np.eye(d))
-        grad_a = adjoint(np.linalg.solve(ph.conj()[..., np.newaxis] * r, adjoint(x)))
-        flat = grad_a.reshape(grad_a.shape[:-2] + (-1,))
-        return np.concatenate([flat.real, flat.imag], axis=-1)
+        return params_from_isometry(grad_w - w @ (0.5 * (b + adjoint(b))))
 
     return w, vjp
 
 
 def params_from_isometry(w: np.ndarray) -> np.ndarray:
+    """The 2*n_out*d reals of an n_out x d matrix, real parts first; a stack
+    (..., n_out, d) gives (..., 2*n_out*d)."""
     w = np.asarray(w, dtype=np.complex128)
-    return np.concatenate([w.real.ravel(), w.imag.ravel()])
+    flat = w.reshape(w.shape[:-2] + (-1,))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
-    """The basis unitary U = W^H of the chart's n_out = d case."""
+    """The basis unitary U = W^H of the polar map's n_out = d case."""
     return adjoint(isometry_from_params(params, d, d))
 
 
 def params_from_unitary(v: np.ndarray) -> np.ndarray:
     """Parameters of the basis with columns v: those of the rows W = v^H,
-    which the chart reproduces."""
+    which the polar map reproduces."""
     return params_from_isometry(adjoint(np.asarray(v)))
 
 
@@ -204,7 +216,10 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
     """Run L-BFGS from every row of x0 at once.
 
     Each round evaluates the objective once, on the stacked trial points of
-    the rows still running; it returns values (S,) and gradients (S, n).
+    the rows still running; it returns values (S,), gradients (S, n) and
+    the points (S, n) it evaluated them at, which an accepted step keeps
+    (a retraction returns the trial points mapped onto its manifold, an
+    unconstrained objective its input).
     Every row has its own curvature history (a pair is kept only when
     s.y > eps |y|^2), its own backtracking Armijo line search (at most
     MAX_TRIALS trials, each cut to the minimizer of a quadratic fit, kept
@@ -219,8 +234,7 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
 
     # state of the rows still running; retired rows are copied out and dropped
     live = np.arange(n_rows)
-    f, g = objective(x)
-    f, g = np.array(f, dtype=float), np.array(g, dtype=float)
+    f, g, x = (np.array(a, dtype=float) for a in objective(x))
     s_hist = np.zeros((n_rows, HISTORY, n))
     y_hist = np.zeros((n_rows, HISTORY, n))
     n_pairs = np.zeros(n_rows, dtype=int)
@@ -248,7 +262,7 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
                 return x_out, f_out, nfev, nit, status
 
         xt = x + t[:, np.newaxis] * p
-        ft, gt = objective(xt)
+        ft, gt, xr = objective(xt)
         evals += 1
         ok = ft <= f + ARMIJO * t * slope
 
@@ -265,7 +279,7 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
         fit = np.divide(-slope * t * t, 2.0 * curvature, out=0.1 * t, where=curvature > 0)
         shrunk = np.clip(fit, 0.1 * t, 0.5 * t)
 
-        x = np.where(ok[:, np.newaxis], xt, x)
+        x = np.where(ok[:, np.newaxis], xr, x)
         f = np.where(ok, ft, f)
         g = np.where(ok[:, np.newaxis], gt, g)
         steps += ok
@@ -298,9 +312,12 @@ def multistart_minimize(objective, start_points, n_random: int, random_start,
     the starts that ran.
 
     The objective is batched: given stacked points (S, n) it returns values
-    (S,) and gradients (S, n).  random_start(rng) must produce a parameter
-    vector.  The random stream for restart k is derived from (cfg.seed, k),
-    so results do not depend on evaluation order and are monotone in the
+    (S,), gradients (S, n) and the points (S, n) it evaluated them at, its
+    input when it is unconstrained or the input retracted onto a manifold,
+    with the gradients there tangent to it.  The result's params are such a
+    returned point.  random_start(rng) must produce a parameter vector.
+    The random stream for restart k is derived from (cfg.seed, k), so
+    results do not depend on evaluation order and are monotone in the
     number of restarts.
     """
     starts = []

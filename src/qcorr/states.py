@@ -29,6 +29,7 @@ from .measures import (
     ProjectiveBasis,
     _outcome_table,
     _rank_one_effects,
+    _table_mi,
     classical_mutual_info,
     maximize_mi_povm,
     maximize_mi_projective,
@@ -308,14 +309,10 @@ def trine_projective_grid(n_points: int = 10_000) -> tuple[float, float, float]:
     nx = (np.sin(tt) * np.cos(pp)).ravel()
     ny = (np.sin(tt) * np.sin(pp)).ravel()
     nz = np.cos(tt).ravel()
-    bloch = trine_bloch_vectors()
-    dots = bloch @ np.stack([nx, ny, nz])  # (3, G)
-    cond_plus = (1 + dots) / 2
-    joint_plus = cond_plus / 3
-    joint_minus = (1 - cond_plus) / 3
-    cells = np.concatenate([joint_plus, joint_minus], axis=0)  # (6, G)
-    h_joint = -xlog2x(cells).sum(axis=0)
-    mi = np.log2(3.0) + binary_entropy(joint_plus.sum(axis=0)) - h_joint
+    # Alice's outcome i has probability 1/3, and Bob's outcome + given i
+    # has (1 + b_i . n) / 2: a (3, 2) outcome table per direction n
+    cond_plus = (1 + np.stack([nx, ny, nz], axis=-1) @ trine_bloch_vectors().T) / 2
+    mi = _table_mi(np.stack([cond_plus / 3, (1 - cond_plus) / 3], axis=-1))
     k = int(np.argmax(mi))
     return float(mi[k]), float(tt.ravel()[k]), float(pp.ravel()[k])
 

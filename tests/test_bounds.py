@@ -110,6 +110,13 @@ def test_entropic_sum_saturates_on_extreme_states():
     assert entropic_sum(np.diag([1.0, 0.0, 0.0]), fam3) >= 4.0 - 1e-9
 
 
+def test_entropic_sum_accepts_a_pure_state_whose_trace_exceeds_one_by_round_off():
+    # DensityMatrix accepts a trace off by up to 1e-10, so a probability can
+    # exceed one by that much
+    rho = DensityMatrix(np.diag([1 + 5e-11, 0.0]), 2, 1)
+    assert entropic_sum(rho, mub_family(2, 3)) == pytest.approx(2.0, abs=1e-9)
+
+
 def test_report_on_bell_state_saturates_the_pair_bound():
     fam = mub_family(2, 2)
     bob = Povm.from_basis(ProjectiveBasis.computational(2))

@@ -190,6 +190,7 @@ def test_scan_rows_equal_single_polarization_search(n, phase_model):
         else:
             model = Dqc1Model.haar(n, p.alpha, seed=3)
         assert p.max_record_mi == dqc1_max_record_mi(model)
+        assert p.quantum_mi == dqc1_quantum_mi(model)
 
 
 @pytest.mark.parametrize("budget", [1, 2 * 2**4])
@@ -214,3 +215,12 @@ def test_trace_estimate_statistics():
         trace_estimate(Dqc1Model.uniform(2, 0.0), 100)
     with pytest.raises(ValueError):
         trace_estimate(model, 0)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: Dqc1Model(1, 0.5, [0.0, np.inf]), InvalidStateError),
+    (lambda: dqc1_scan(17, 3), UnsupportedDimensionError),
+], ids=["infinite-phase", "scan-above-cap"])
+def test_input_checks_raise_their_documented_errors(call, error):
+    with pytest.raises(error):
+        call()

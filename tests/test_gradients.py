@@ -18,7 +18,6 @@ from qcorr.linalg import (
 from qcorr.measures import (
     Povm,
     ProjectiveBasis,
-    _basis_side,
     _embed_basis,
     _fixed_side,
     _holevo_value_grad,
@@ -27,6 +26,7 @@ from qcorr.measures import (
     _neg_avg_conditional_entropy,
     _objective,
     _outcome_table,
+    _param_slices,
     _r4,
     _rank_one_effects,
     _table_mi,
@@ -58,26 +58,42 @@ def central_differences(objective, x, h=1e-6):
     return out
 
 
+def complex_matrix(params, n_out, d):
+    return (params[: n_out * d] + 1j * params[n_out * d:]).reshape(n_out, d)
+
+
 def assert_gradient_matches(objective, points):
-    """Each point's gradient against central differences, and the stacked
+    """At the retracted points: each point's gradient against central
+    differences, its tangency on every free side, and the stacked
     evaluation of all points against the evaluation of each point alone."""
-    points = np.atleast_2d(points)
-    values, grads = objective(points)
-    assert values.shape == points.shape[:1] and grads.shape == points.shape
+    _, _, points = objective(np.atleast_2d(points))
+    values, grads, again = objective(points)
+    assert values.shape == points.shape[:1] and grads.shape == again.shape == points.shape
+    assert np.abs(again - points).max() <= 1e-12
     for x, value, grad in zip(points, values, grads):
-        alone_value, alone_grad = objective(x)
+        alone_value, alone_grad, _ = objective(x)
         assert abs(value - alone_value) <= 1e-12
         assert np.abs(grad - alone_grad).max() <= 1e-12
         fd = central_differences(objective, x)
         assert np.linalg.norm(alone_grad - fd) <= 1e-6 * np.linalg.norm(fd), (alone_grad, fd)
+        for side, part in zip(objective.sides, _param_slices(objective.sides)):
+            if side.fixed is None:
+                w = complex_matrix(x[part], side.n_out, side.d)
+                xi = complex_matrix(grad[part], side.n_out, side.d)
+                sym = w.conj().T @ xi + xi.conj().T @ w
+                assert np.abs(sym).max() <= 1e-12 * max(1.0, np.abs(xi).max())
 
 
 def mi_objective(rho, *sides):
-    return _objective(partial(_mi_value_grad, rho.mat), sides)
+    objective = _objective(partial(_mi_value_grad, rho.mat), sides)
+    objective.sides = sides
+    return objective
 
 
 def holevo_objective(r4, side):
-    return _objective(partial(_holevo_value_grad, r4), (side,))
+    objective = _objective(partial(_holevo_value_grad, r4), (side,))
+    objective.sides = (side,)
+    return objective
 
 
 def random_params(d, rng):
@@ -115,7 +131,7 @@ def test_holevo_kernel_value_matches_conditional_entropy_path(da, db):
 def test_projective_mi_gradient(da, db):
     rng = as_rng([3, da, db])
     rho = random_density_matrix(da, db, rng=rng)
-    objective = mi_objective(rho, _basis_side(da), _basis_side(db))
+    objective = mi_objective(rho, _isometry_side(da, da), _isometry_side(db, db))
     assert_gradient_matches(objective, [
         np.concatenate([random_params(da, rng), random_params(db, rng)]),
         np.concatenate([params_from_unitary(np.eye(da)), params_from_unitary(np.eye(db))]),
@@ -148,7 +164,7 @@ def test_holevo_gradient_projective_and_povm(da, db):
     rng = as_rng([5, da, db])
     rho = random_density_matrix(da, db, rng=rng)
     r4 = rho.mat.reshape(da, db, da, db)
-    projective = holevo_objective(r4, _basis_side(da))
+    projective = holevo_objective(r4, _isometry_side(da, da))
     assert_gradient_matches(projective, [random_params(da, rng), params_from_unitary(np.eye(da))])
     n_out = da * da
     povm = holevo_objective(r4, _isometry_side(n_out, da))
@@ -157,7 +173,7 @@ def test_holevo_gradient_projective_and_povm(da, db):
 
 def test_multistart_uses_a_supplied_gradient():
     def quadratic_with_gradient(x):  # stacked points (S, 3)
-        return np.sum((x - 0.7) ** 2, axis=1), 2 * (x - 0.7)
+        return np.sum((x - 0.7) ** 2, axis=1), 2 * (x - 0.7), x
 
     cfg = OptimizerConfig(restarts=2, seed=0)
     res = multistart_minimize(quadratic_with_gradient, [np.zeros(3)], cfg.restarts,
@@ -170,7 +186,7 @@ def test_multistart_uses_a_supplied_gradient():
 
 def test_lockstep_stops_on_relative_decrease():
     def offset_bowl(x):  # stacked points (S, 4)
-        return 1e12 + np.sum((x - 0.7) ** 2, axis=1), 2 * (x - 0.7)
+        return 1e12 + np.sum((x - 0.7) ** 2, axis=1), 2 * (x - 0.7), x
 
     res = multistart_minimize(offset_bowl, [np.zeros(4)], 0, None, OptimizerConfig())
     # the first step lowers the value by 1.8, a relative 1.8e-12, while the
@@ -184,7 +200,7 @@ def test_lockstep_start_is_the_same_alone_and_in_a_batch(d):
     rho = random_density_matrix(d, d, rng=as_rng([10, d]))
     cfg = OptimizerConfig(seed=0)
     cases = [
-        (mi_objective(rho, _basis_side(d), _basis_side(d)),
+        (mi_objective(rho, _isometry_side(d, d), _isometry_side(d, d)),
          [np.concatenate([params_from_unitary(random_unitary(d, as_rng([d, k])))
                           for _ in range(2)]) for k in range(5)]),
         (holevo_objective(_r4(rho), _isometry_side(d + 1, d)),

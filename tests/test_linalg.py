@@ -115,6 +115,15 @@ def test_shannon_entropy_rejects_clearly_negative_input():
         shannon_entropy([np.nan, 0.5, 0.5])
 
 
+def test_shannon_entropy_rejects_entries_above_one():
+    with pytest.raises(InvalidStateError):
+        shannon_entropy([np.inf, 0.5])
+    with pytest.raises(InvalidStateError):
+        shannon_entropy([2.0])
+    # round-off above one is clipped, as below zero
+    assert shannon_entropy([1.0 + 1e-13, -1e-13]) == 0.0
+
+
 def test_binary_entropy_endpoints():
     assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
     assert binary_entropy(0.0) == 0.0
@@ -227,3 +236,19 @@ def test_as_rng_accepts_ints_lists_and_generators():
     assert np.abs(a - c).max() > 1e-6
     gen = as_rng(0)
     assert as_rng(gen) is gen
+
+
+SINGLET_STATE = DensityMatrix(SINGLET, 2, 2)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: DensityMatrix(np.full((4, 4), np.nan), 2, 2), InvalidStateError),
+    (lambda: DensityMatrix(np.eye(1), 0, 1), DimensionMismatchError),
+    (lambda: partial_trace(SINGLET_STATE, "C"), ValueError),
+    (lambda: hermitian_eigen(np.array([[1.0, 1.0], [0.0, 1.0]])), InvalidStateError),
+    (lambda: random_density_matrix(2, 2, rank=0), DimensionMismatchError),
+    (lambda: von_neumann_entropy(np.diag([1.2, -0.2])), InvalidStateError),
+], ids=["non-finite", "zero-dimension", "keep-C", "non-hermitian", "rank-0", "negative-eigenvalue"])
+def test_input_checks_raise_their_documented_errors(call, error):
+    with pytest.raises(error):
+        call()

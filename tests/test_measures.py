@@ -9,6 +9,7 @@ from qcorr.linalg import (
     as_rng,
     random_density_matrix,
     tensor_product,
+    von_neumann_entropy,
 )
 from qcorr.measures import (
     JointDistribution,
@@ -204,6 +205,16 @@ def test_state_a_hair_outside_psd_gives_valid_tables_and_mi():
     assert report.mi_projective <= report.quantum_mi + 1e-12
 
 
+def test_entropies_accept_a_pure_state_whose_trace_exceeds_one_by_round_off():
+    # DensityMatrix accepts a trace off by up to 1e-10, as from a pure state
+    # saved to about 11 digits; its top eigenvalues then exceed one
+    rho = DensityMatrix(np.diag([1 + 5e-11, 0, 0, 0]), 2, 2)
+    assert von_neumann_entropy(rho.mat) == pytest.approx(0.0, abs=1e-9)
+    assert quantum_mutual_info(rho) == pytest.approx(0.0, abs=1e-9)
+    cfg = OptimizerConfig(restarts=1, seed=0)
+    assert classical_correlation_a(rho, cfg).value == pytest.approx(0.0, abs=1e-9)
+
+
 def test_quantum_mutual_info_oracles():
     assert quantum_mutual_info(SINGLET) == pytest.approx(2.0, abs=1e-12)
     a = random_density_matrix(2, 1, rng=as_rng(1))
@@ -385,3 +396,31 @@ def test_full_report_runs_the_projective_search_once_with_povm(monkeypatch):
     rep = full_report(rho, LIGHT, povm_outcomes=(4, 4))
     assert len(calls) == 1
     assert rep.mi_povm == expected
+
+
+BELL_PAIR = bell_diagonal_state([-1, -1, -1])
+MIXED_EFFECTS = Povm(effects=np.stack([np.eye(2) / 2, np.eye(2) / 2]))
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: Povm(effects=np.ones((2, 2))), ValueError),
+    (lambda: Povm.random_rank_one(3, 2), ValueError),
+    (lambda: maximize_mi_povm(BELL_PAIR, 1, 3), ValueError),
+    (lambda: maximize_mi_povm(BELL_PAIR, 3, 1), ValueError),
+    (lambda: maximize_mi_povm(BELL_PAIR, 3, 3, fixed_a=MIXED_EFFECTS), ValueError),
+    (lambda: classical_correlation_a(BELL_PAIR, projective_only=False, n_out=1), ValueError),
+    (lambda: conditional_states_b(BELL_PAIR, ProjectiveBasis.computational(3)),
+     DimensionMismatchError),
+], ids=["effects-2d", "too-few-rank-one-outcomes", "povm-a-outcomes", "povm-b-outcomes",
+        "fixed-without-rows", "holevo-povm-outcomes", "conditional-dimension"])
+def test_input_checks_raise_their_documented_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_conditional_states_b_gives_a_placeholder_for_an_outcome_that_never_fires():
+    rho = DensityMatrix(tensor_product(np.diag([1.0, 0.0]), np.diag([0.25, 0.75])), 2, 2)
+    (p0, state0), (p1, state1) = conditional_states_b(rho, ProjectiveBasis.computational(2))
+    assert p0 == pytest.approx(1.0) and p1 == 0.0
+    np.testing.assert_allclose(state0, np.diag([0.25, 0.75]), atol=1e-15)
+    np.testing.assert_array_equal(state1, np.eye(2) / 2)

@@ -73,8 +73,15 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=-1)
 
 
+@pytest.mark.parametrize("field", [{"max_iters": 0}, {"tolerance": 0.0}],
+                         ids=["max-iters-0", "tolerance-0"])
+def test_optimizer_config_rejects_a_zero_budget_or_tolerance(field):
+    with pytest.raises(ValueError):
+        OptimizerConfig(**field)
+
+
 def quadratic(x):  # stacked points (S, n)
-    return np.sum((x - 0.7) ** 2, axis=-1), 2 * (x - 0.7)
+    return np.sum((x - 0.7) ** 2, axis=-1), 2 * (x - 0.7), x
 
 
 def test_multistart_finds_quadratic_minimum():
@@ -101,7 +108,7 @@ def test_multistart_runs_each_distinct_structured_start_once():
 
 def test_multistart_is_deterministic_and_monotone_in_restarts():
     def bumpy(x):  # stacked points (S, 2)
-        return np.sum(x**2 + 0.3 * np.cos(5 * x), axis=-1), 2 * x - 1.5 * np.sin(5 * x)
+        return np.sum(x**2 + 0.3 * np.cos(5 * x), axis=-1), 2 * x - 1.5 * np.sin(5 * x), x
 
     def run(restarts):
         cfg = OptimizerConfig(restarts=restarts, max_iters=200, seed=1)
@@ -123,7 +130,7 @@ def test_multistart_never_beats_an_exact_seed_downward():
 
 def test_multistart_reports_failed_starts_as_unconverged():
     def nowhere_finite(x):  # stacked points (S, 2)
-        return np.full(len(x), np.nan), np.full(x.shape, np.nan)
+        return np.full(len(x), np.nan), np.full(x.shape, np.nan), x
 
     cfg = OptimizerConfig(restarts=1, seed=0)
     res = multistart_minimize(nowhere_finite, [np.zeros(2)], cfg.restarts,

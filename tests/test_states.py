@@ -246,3 +246,20 @@ def test_biorthogonal_state_is_purely_classical():
     np.testing.assert_allclose(measured.table, table, atol=1e-12)
     with pytest.raises(InvalidStateError):
         biorthogonal_state(np.array([[0.9, 0.2], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: correlation_tensor_state(np.eye(2)), DimensionMismatchError),
+    (lambda: werner_state(1, 0.5), DimensionMismatchError),
+    (lambda: werner_analytics(3, 1.5), InvalidStateError),
+    (lambda: locking_state(1), DimensionMismatchError),
+    (lambda: sigma_locking_state(1), DimensionMismatchError),
+    (lambda: locking_state(3, u1=2 * np.eye(3)), InvalidStateError),
+    (lambda: locking_demo(2, variant="x"), ValueError),
+    (lambda: classical_quantum_state([0.5, 0.5], [np.eye(2) / 2]), DimensionMismatchError),
+    (lambda: biorthogonal_state(np.ones(4) / 4), DimensionMismatchError),
+], ids=["tensor-2x2", "werner-d1", "werner-alpha", "locking-d1", "sigma-d1", "locking-u1",
+        "demo-variant", "cq-count", "biorthogonal-1d"])
+def test_input_checks_raise_their_documented_errors(call, error):
+    with pytest.raises(error):
+        call()
