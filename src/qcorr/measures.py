@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -337,50 +337,22 @@ def _projective_seed_pairs(rho: DensityMatrix) -> list[tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class _Side:
-    """One party's measurement in a search.
-
-    A free side (fixed is None) is a rank-one POVM with n_out outcomes on d
-    levels, searched on its rows W (n_out x d, W^H W = 1) themselves: its
-    parameters hold a complex matrix, and its rows are that matrix's polar
-    factor, so completeness holds exactly by construction.  A projective
-    basis is the case n_out = d.  A fixed side is the given POVM and has no
-    parameters.  Seeds are row matrices.
+    """One free party's measurement in a search: a rank-one POVM with n_out
+    outcomes on d levels, searched on its rows W (n_out x d, W^H W = 1)
+    themselves.  Its parameters hold a complex matrix, and its rows are that
+    matrix's polar factor, so completeness holds exactly by construction.  A
+    projective basis is the case n_out = d.  Seeds are row matrices.
     """
 
     n_out: int
     d: int
-    fixed: Povm | None = None
 
     @property
     def n_params(self) -> int:
-        return 0 if self.fixed is not None else n_isometry_params(self.n_out, self.d)
-
-    def chart(self, x: np.ndarray):
-        """The rows at x and the pullback of a rows gradient there to x's
-        tangent gradient; a fixed side has its rows and no pullback."""
-        if self.fixed is not None:
-            return self.fixed.rows, None
-        return isometry_from_params_vjp(x, self.n_out, self.d)
-
-    def encode(self, rows) -> np.ndarray:
-        return np.empty(0) if self.fixed is not None else params_from_isometry(rows)
+        return n_isometry_params(self.n_out, self.d)
 
     def povm(self, x: np.ndarray) -> Povm:
-        return self.fixed if self.fixed is not None else Povm.from_isometry(
-            isometry_from_params(x, self.n_out, self.d))
-
-
-# Named constructors for the two kinds of side, which the gradient tests
-# build their sides with too.
-def _isometry_side(n_out: int, d: int) -> _Side:
-    """A free rank-one POVM with n_out outcomes on d levels (a basis when
-    n_out = d)."""
-    return _Side(n_out, d)
-
-
-def _fixed_side(povm: Povm) -> _Side:
-    """The given rank-one POVM, with no parameters."""
-    return _Side(*povm.rows.shape, fixed=povm)
+        return Povm.from_isometry(isometry_from_params(x, self.n_out, self.d))
 
 
 def _param_slices(sides: tuple[_Side, ...]) -> list[slice]:
@@ -393,38 +365,38 @@ def _objective(kernel: Callable, sides: tuple[_Side, ...]):
     """-kernel on the sides' parameters, for the batched L-BFGS.  kernel
     takes one row stack per side and returns the value and one rows
     gradient per side.  Stacked points (S, n) give values (S,), the
-    gradients (S, n) of the free sides projected onto the tangent spaces
-    at their rows, and the points (S, n) of those rows, which lie on the
-    manifold."""
-    parts = list(zip(sides, _param_slices(sides)))
+    gradients (S, n) projected onto the tangent spaces at the sides' rows,
+    and the points (S, n) of those rows, which lie on the manifold."""
+    parts = [(part, side.n_out, side.d) for side, part in zip(sides, _param_slices(sides))]
 
     def flat(arrays, x):
-        # the empty x[..., :0] gives the batch shape when every side is fixed
+        # the empty x[..., :0] gives the batch shape when there is no side
         return np.concatenate(arrays + [x[..., :0]], axis=-1)
 
     def objective(x):
-        charts = [side.chart(x[..., part]) for side, part in parts]
+        charts = [isometry_from_params_vjp(x[..., part], n_out, d) for part, n_out, d in parts]
         value, *grads = kernel(*(w for w, _ in charts))
-        free = [(w, pull, g) for (w, pull), g in zip(charts, grads) if pull is not None]
-        # with every side fixed the rows carry no batch axis, nor does value
+        # with no side (a record-mi search with both parties fixed) the
+        # value carries no batch axis: the only case broadcast_to serves
         return (-np.broadcast_to(value, x.shape[:-1]),
-                -flat([pull(g) for _, pull, g in free], x),
-                flat([params_from_isometry(w) for w, _, _ in free], x))
+                -flat([pull(g) for (_, pull), g in zip(charts, grads)], x),
+                flat([params_from_isometry(w) for w, _ in charts], x))
 
     return objective
 
 
 def _search(kernel: Callable, sides: tuple[_Side, ...], seeds, cfg: OptimizerConfig):
     """Multi-start L-BFGS maximizing kernel over the sides' measurements,
-    from the seeds (one row matrix per side each, anything on a fixed side)
-    and cfg.restarts random starts.  Returns the SearchResult, whose value is the minimized
-    -kernel, and the best start's measurement on each side."""
+    from the seeds (one row matrix per side each) and cfg.restarts random
+    starts.  Returns the SearchResult, whose value is the minimized -kernel,
+    and the best start's measurement on each side."""
     # the polar factor of a Gaussian matrix is Haar-distributed, so one
     # Gaussian draw starts bases and POVMs alike
     n_params = sum(side.n_params for side in sides)
+    # np.empty(0) makes a seed with no side (both parties fixed) one empty start
     res = multistart_minimize(
         _objective(kernel, sides),
-        [np.concatenate([side.encode(s) for side, s in zip(sides, seed)]) for seed in seeds],
+        [np.concatenate([np.empty(0), *map(params_from_isometry, seed)]) for seed in seeds],
         cfg.restarts,
         lambda rng: rng.standard_normal(n_params),
         cfg,
@@ -432,9 +404,41 @@ def _search(kernel: Callable, sides: tuple[_Side, ...], seeds, cfg: OptimizerCon
     return res, [side.povm(res.params[part]) for side, part in zip(sides, _param_slices(sides))]
 
 
-def _mi_result(res, meas: list[Povm]) -> MiSearchResult:
-    """The MiSearchResult of a two-sided _search's output."""
-    return MiSearchResult(-res.value, *meas, res.converged, res.n_starts, res.n_converged)
+def _mi_kernel(rho: DensityMatrix, fixed: tuple[Povm | None, Povm | None]):
+    """_mi_value_grad on the free parties' rows alone (fixed[k] is None),
+    each fixed party's rows bound in: returns the value and the free
+    parties' rows gradients."""
+    def kernel(*free_rows):
+        free = iter(free_rows)
+        rows = [next(free) if f is None else f.rows for f in fixed]
+        value, *grads = _mi_value_grad(rho.mat, *rows)
+        return value, *(g for f, g in zip(fixed, grads) if f is None)
+
+    return kernel
+
+
+def _mi_search(rho: DensityMatrix, fixed: tuple[Povm | None, Povm | None],
+               n_outs: tuple[int, int], seed_pairs, cfg: OptimizerConfig) -> MiSearchResult:
+    """Record-mi search over the free parties (fixed[k] is None), party k
+    a rank-one POVM with n_outs[k] outcomes, from the free halves of the
+    seed pairs: pairs that differ only on a fixed party are one start,
+    which multistart_minimize runs once.  Each fixed POVM comes back as it
+    was given."""
+    free = [k for k, f in enumerate(fixed) if f is None]
+    sides = tuple(_Side(n_outs[k], (rho.dim_a, rho.dim_b)[k]) for k in free)
+    seeds = [[pair[k] for k in free] for pair in seed_pairs]
+    res, found = _search(_mi_kernel(rho, fixed), sides, seeds, cfg)
+    found = iter(found)
+    meas_a, meas_b = (next(found) if f is None else f for f in fixed)
+    return MiSearchResult(-res.value, meas_a, meas_b, res.converged, res.n_starts, res.n_converged)
+
+
+def _seed_rows(u, d: int) -> np.ndarray:
+    """Rows U^H of a caller's seed basis U, which must be d x d."""
+    u = np.asarray(u)
+    if u.shape != (d, d):
+        raise DimensionMismatchError(f"seed basis must be {d} x {d}, got shape {u.shape}")
+    return np.conj(u).T
 
 
 def maximize_mi_projective(
@@ -454,10 +458,10 @@ def maximize_mi_projective(
     """
     cfg = cfg or OptimizerConfig()
     _check_opt_dims(rho)
-    seeds = _projective_seed_pairs(rho) + [(np.conj(ua).T, np.conj(ub).T)
+    da, db = rho.dim_a, rho.dim_b
+    seeds = _projective_seed_pairs(rho) + [(_seed_rows(ua, da), _seed_rows(ub, db))
                                            for ua, ub in extra_seeds or []]
-    sides = (_isometry_side(rho.dim_a, rho.dim_a), _isometry_side(rho.dim_b, rho.dim_b))
-    return _mi_result(*_search(partial(_mi_value_grad, rho.mat), sides, seeds, cfg))
+    return _mi_search(rho, (None, None), (da, db), seeds, cfg)
 
 
 def _fourier_frame(n_out: int, d: int) -> np.ndarray:
@@ -476,6 +480,13 @@ def _embed_basis(rows: np.ndarray, n_out: int) -> np.ndarray:
     return w
 
 
+def _povm_seeds(rows: np.ndarray, n_out: int) -> list[np.ndarray]:
+    """Starts of an n_out-outcome POVM search from a basis's rows: the rows
+    embedded, the discrete Fourier frame, and the frame times the rows."""
+    frame = _fourier_frame(n_out, rows.shape[-1])
+    return [_embed_basis(rows, n_out), frame, frame @ rows]
+
+
 def maximize_mi_povm(
     rho: DensityMatrix,
     n_out_a: int,
@@ -487,11 +498,11 @@ def maximize_mi_povm(
     """Search rank-one POVMs with fixed outcome counts for maximal record
     mutual information.
 
-    Each free side is parameterized by an orthonormalized n_out x d complex
-    matrix, so completeness holds exactly by construction.  Structured
-    starts embed the projective-search result (the value can only improve
-    on it) and discrete Fourier frames; fixed_a / fixed_b pin a side to a
-    given rank-one POVM.
+    Each free side is searched on its n_out x d rows, the polar factor of a
+    complex matrix, so completeness holds exactly by construction.
+    Structured starts embed the projective-search result (the value can
+    only improve on it) and discrete Fourier frames; fixed_a / fixed_b pin
+    a side to a given rank-one POVM of the state's dimension on that side.
     """
     return _mi_povm_search(rho, n_out_a, n_out_b, cfg or OptimizerConfig(), fixed_a, fixed_b)
 
@@ -503,37 +514,22 @@ def _mi_povm_search(rho: DensityMatrix, n_out_a: int, n_out_b: int, cfg: Optimiz
     maximize_mi_projective(rho, cfg).  Otherwise the projective search runs
     here over the free sides only, a fixed side staying fixed."""
     _check_opt_dims(rho)
-    da, db = rho.dim_a, rho.dim_b
-    free_a, free_b = fixed_a is None, fixed_b is None
-    if free_a and n_out_a < da:
-        raise ValueError(f"n_out_a must be >= {da}, got {n_out_a}")
-    if free_b and n_out_b < db:
-        raise ValueError(f"n_out_b must be >= {db}, got {n_out_b}")
-    if (not free_a and fixed_a.rows is None) or (not free_b and fixed_b.rows is None):
-        raise ValueError("fixed measurements must be rank-one (have rows)")
+    fixed, n_outs, dims = (fixed_a, fixed_b), (n_out_a, n_out_b), (rho.dim_a, rho.dim_b)
+    for party, f, n_out, d in zip("ab", fixed, n_outs, dims):
+        if f is None and n_out < d:
+            raise ValueError(f"n_out_{party} must be >= {d}, got {n_out}")
+        if f is not None and f.rows is None:
+            raise ValueError("fixed measurements must be rank-one (have rows)")
+    _check_meas_dims(rho, *(d if f is None else f.dim for f, d in zip(fixed, dims)))
 
-    kernel = partial(_mi_value_grad, rho.mat)
-    # a fixed side seeds itself; with both sides fixed there is nothing to seed
-    meas_a, meas_b = fixed_a, fixed_b
-    if proj is not None:
-        meas_a, meas_b = proj.meas_a, proj.meas_b
-    elif free_a or free_b:
-        sides = tuple(_isometry_side(d, d) if fixed is None else _fixed_side(fixed)
-                      for fixed, d in ((fixed_a, da), (fixed_b, db)))
-        # a fixed half encodes to no parameters, so seed pairs that differ
-        # only there are one start, which multistart_minimize runs once
-        _, (meas_a, meas_b) = _search(kernel, sides, _projective_seed_pairs(rho), cfg)
-
-    def side(fixed, meas, n_out, d):
-        if fixed is not None:
-            return _fixed_side(fixed), [None]
-        frame, rows = _fourier_frame(n_out, d), meas.rows
-        return _isometry_side(n_out, d), [_embed_basis(rows, n_out), frame, frame @ rows]
-
-    side_a, seeds_a = side(fixed_a, meas_a, n_out_a, da)
-    side_b, seeds_b = side(fixed_b, meas_b, n_out_b, db)
-    seeds = [(a, b) for a in seeds_a for b in seeds_b]
-    return _mi_result(*_search(kernel, (side_a, side_b), seeds, cfg))
+    if proj is None and None in fixed:
+        proj = _mi_search(rho, fixed, dims, _projective_seed_pairs(rho), cfg)
+    # a fixed party has one placeholder half, which _mi_search drops; with
+    # both parties fixed there is no basis to seed from, and one empty start
+    bases = (None, None) if proj is None else (proj.meas_a, proj.meas_b)
+    halves = [[None] if f is not None else _povm_seeds(basis.rows, n_out)
+              for f, basis, n_out in zip(fixed, bases, n_outs)]
+    return _mi_search(rho, fixed, n_outs, list(product(*halves)), cfg)
 
 
 def conditional_states_b(rho: DensityMatrix, meas_a) -> list[tuple[float, np.ndarray]]:
@@ -623,16 +619,16 @@ def classical_correlation_a(
     _check_opt_dims(rho)
     da = rho.dim_a
     _, va = hermitian_eigen(marginal_mats(rho)[0])
-    seeds = [np.eye(da), adjoint(va)] + [np.conj(u).T for u in extra_seeds or []]
+    seeds = [np.eye(da), adjoint(va)] + [_seed_rows(u, da) for u in extra_seeds or []]
     if projective_only:
-        side = _isometry_side(da, da)
+        side = _Side(da, da)
     else:
-        n_out = n_out or da * da
+        n_out = da * da if n_out is None else n_out
         if n_out < da:
             raise ValueError(f"n_out must be >= {da}, got {n_out}")
         seeds = [_embed_basis(u, n_out) for u in seeds]
         seeds.insert(2, _fourier_frame(n_out, da))  # before any extra_seeds
-        side = _isometry_side(n_out, da)
+        side = _Side(n_out, da)
     res, (meas,) = _search(partial(_holevo_value_grad, _r4(rho)), (side,),
                            [(seed,) for seed in seeds], cfg)
     # res.value is the minimized -(conditional-entropy defect)

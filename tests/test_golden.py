@@ -9,6 +9,12 @@ any real change in the numbers).
 Rewrite the goldens, after a change that is meant to move the numbers, with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+ABS_TOL cannot show that output is byte-identical.  To check that, render
+every command of two checkouts into two directories and compare them:
+
+    PYTHONPATH=src python tests/test_golden.py --render DIR
+    diff -r DIR_A DIR_B
 """
 import contextlib
 import io
@@ -76,9 +82,16 @@ def test_cli_output_matches_golden(name):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_golden.py --write")
-    GOLDEN.mkdir(exist_ok=True)
-    write_states()
+    if sys.argv[1:] == ["--write"]:
+        out = GOLDEN
+        out.mkdir(exist_ok=True)
+        write_states()
+    elif len(sys.argv) == 3 and sys.argv[1] == "--render":
+        # the checked-in states stay as they are, so two checkouts render
+        # the same inputs
+        out = Path(sys.argv[2])
+        out.mkdir(parents=True, exist_ok=True)
+    else:
+        sys.exit("usage: test_golden.py --write | --render DIR")
     for name, args in COMMANDS.items():
-        (GOLDEN / f"{name}.out").write_text(render(args))
+        (out / f"{name}.out").write_text(render(args))

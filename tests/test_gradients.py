@@ -19,9 +19,8 @@ from qcorr.measures import (
     Povm,
     ProjectiveBasis,
     _embed_basis,
-    _fixed_side,
     _holevo_value_grad,
-    _isometry_side,
+    _mi_kernel,
     _mi_value_grad,
     _neg_avg_conditional_entropy,
     _objective,
@@ -29,6 +28,7 @@ from qcorr.measures import (
     _param_slices,
     _r4,
     _rank_one_effects,
+    _Side,
     _table_mi,
     classical_correlation_a,
     full_report,
@@ -64,7 +64,7 @@ def complex_matrix(params, n_out, d):
 
 def assert_gradient_matches(objective, points):
     """At the retracted points: each point's gradient against central
-    differences, its tangency on every free side, and the stacked
+    differences, its tangency on every side, and the stacked
     evaluation of all points against the evaluation of each point alone."""
     _, _, points = objective(np.atleast_2d(points))
     values, grads, again = objective(points)
@@ -77,15 +77,16 @@ def assert_gradient_matches(objective, points):
         fd = central_differences(objective, x)
         assert np.linalg.norm(alone_grad - fd) <= 1e-6 * np.linalg.norm(fd), (alone_grad, fd)
         for side, part in zip(objective.sides, _param_slices(objective.sides)):
-            if side.fixed is None:
-                w = complex_matrix(x[part], side.n_out, side.d)
-                xi = complex_matrix(grad[part], side.n_out, side.d)
-                sym = w.conj().T @ xi + xi.conj().T @ w
-                assert np.abs(sym).max() <= 1e-12 * max(1.0, np.abs(xi).max())
+            w = complex_matrix(x[part], side.n_out, side.d)
+            xi = complex_matrix(grad[part], side.n_out, side.d)
+            sym = w.conj().T @ xi + xi.conj().T @ w
+            assert np.abs(sym).max() <= 1e-12 * max(1.0, np.abs(xi).max())
 
 
-def mi_objective(rho, *sides):
-    objective = _objective(partial(_mi_value_grad, rho.mat), sides)
+def mi_objective(rho, *sides, fixed=(None, None)):
+    """The record-mi objective on the free sides, the fixed POVMs bound into
+    the kernel."""
+    objective = _objective(_mi_kernel(rho, fixed), sides)
     objective.sides = sides
     return objective
 
@@ -131,7 +132,7 @@ def test_holevo_kernel_value_matches_conditional_entropy_path(da, db):
 def test_projective_mi_gradient(da, db):
     rng = as_rng([3, da, db])
     rho = random_density_matrix(da, db, rng=rng)
-    objective = mi_objective(rho, _isometry_side(da, da), _isometry_side(db, db))
+    objective = mi_objective(rho, _Side(da, da), _Side(db, db))
     assert_gradient_matches(objective, [
         np.concatenate([random_params(da, rng), random_params(db, rng)]),
         np.concatenate([params_from_unitary(np.eye(da)), params_from_unitary(np.eye(db))]),
@@ -145,17 +146,17 @@ def test_povm_mi_gradient_free_and_fixed_sides(da, db):
     rho = random_density_matrix(da, db, rng=rng)
     na, nb = da + 2, db + 1
     pa, pb = n_isometry_params(na, da), n_isometry_params(nb, db)
-    both = mi_objective(rho, _isometry_side(na, da), _isometry_side(nb, db))
+    both = mi_objective(rho, _Side(na, da), _Side(nb, db))
     seed = np.concatenate([
         params_from_isometry(_embed_basis(np.eye(da), na)),
         params_from_isometry(_embed_basis(np.eye(db), nb)),
     ])
     assert_gradient_matches(both, [rng.standard_normal(pa + pb), seed])
-    fixed_a = _fixed_side(Povm.from_basis(ProjectiveBasis(random_unitary(da, rng))))
-    fixed_b = _fixed_side(Povm.random_rank_one(db, nb, rng))
-    assert_gradient_matches(mi_objective(rho, fixed_a, _isometry_side(nb, db)),
+    fixed_a = Povm.from_basis(ProjectiveBasis(random_unitary(da, rng)))
+    fixed_b = Povm.random_rank_one(db, nb, rng)
+    assert_gradient_matches(mi_objective(rho, _Side(nb, db), fixed=(fixed_a, None)),
                             rng.standard_normal((2, pb)))
-    assert_gradient_matches(mi_objective(rho, _isometry_side(na, da), fixed_b),
+    assert_gradient_matches(mi_objective(rho, _Side(na, da), fixed=(None, fixed_b)),
                             rng.standard_normal((2, pa)))
 
 
@@ -164,10 +165,10 @@ def test_holevo_gradient_projective_and_povm(da, db):
     rng = as_rng([5, da, db])
     rho = random_density_matrix(da, db, rng=rng)
     r4 = rho.mat.reshape(da, db, da, db)
-    projective = holevo_objective(r4, _isometry_side(da, da))
+    projective = holevo_objective(r4, _Side(da, da))
     assert_gradient_matches(projective, [random_params(da, rng), params_from_unitary(np.eye(da))])
     n_out = da * da
-    povm = holevo_objective(r4, _isometry_side(n_out, da))
+    povm = holevo_objective(r4, _Side(n_out, da))
     assert_gradient_matches(povm, rng.standard_normal((2, n_isometry_params(n_out, da))))
 
 
@@ -200,10 +201,10 @@ def test_lockstep_start_is_the_same_alone_and_in_a_batch(d):
     rho = random_density_matrix(d, d, rng=as_rng([10, d]))
     cfg = OptimizerConfig(seed=0)
     cases = [
-        (mi_objective(rho, _isometry_side(d, d), _isometry_side(d, d)),
+        (mi_objective(rho, _Side(d, d), _Side(d, d)),
          [np.concatenate([params_from_unitary(random_unitary(d, as_rng([d, k])))
                           for _ in range(2)]) for k in range(5)]),
-        (holevo_objective(_r4(rho), _isometry_side(d + 1, d)),
+        (holevo_objective(_r4(rho), _Side(d + 1, d)),
          as_rng([11, d]).standard_normal((5, n_isometry_params(d + 1, d)))),
     ]
     for objective, starts in cases:

@@ -262,6 +262,25 @@ def test_maximize_mi_povm_with_both_sides_fixed_evaluates_them(monkeypatch):
     assert res.meas_a is fixed_a and res.meas_b is fixed_b and res.converged
 
 
+def test_maximize_mi_povm_with_bob_fixed_searches_alice_alone(monkeypatch):
+    rho = random_density_matrix(3, 2, rng=as_rng(23))
+    fixed_b = Povm.random_rank_one(2, 3, rng=3)
+    values = []
+
+    def recorded(*args):
+        res = multistart_minimize(*args)
+        values.append(-res.value)
+        return res
+
+    monkeypatch.setattr(measures, "multistart_minimize", recorded)
+    res = maximize_mi_povm(rho, 4, 3, LIGHT, fixed_b=fixed_b)
+    assert res.meas_b is fixed_b and res.meas_a.rows.shape == (4, 3)
+    expected = classical_mutual_info(joint_distribution(rho, res.meas_a, fixed_b))
+    assert res.value == pytest.approx(expected, abs=1e-12)
+    # the seeding search over Alice's bases, then the POVM search seeded by it
+    assert len(values) == 2 and res.value == values[1] >= values[0]
+
+
 def test_one_sided_seeding_search_runs_each_free_basis_once(monkeypatch):
     starts = []
 
@@ -409,10 +428,22 @@ MIXED_EFFECTS = Povm(effects=np.stack([np.eye(2) / 2, np.eye(2) / 2]))
     (lambda: maximize_mi_povm(BELL_PAIR, 3, 1), ValueError),
     (lambda: maximize_mi_povm(BELL_PAIR, 3, 3, fixed_a=MIXED_EFFECTS), ValueError),
     (lambda: classical_correlation_a(BELL_PAIR, projective_only=False, n_out=1), ValueError),
+    (lambda: classical_correlation_a(BELL_PAIR, projective_only=False, n_out=0), ValueError),
     (lambda: conditional_states_b(BELL_PAIR, ProjectiveBasis.computational(3)),
      DimensionMismatchError),
+    (lambda: maximize_mi_povm(BELL_PAIR, 3, 3, fixed_a=Povm.random_rank_one(3, 3, rng=0)),
+     DimensionMismatchError),
+    (lambda: maximize_mi_povm(BELL_PAIR, 3, 3, fixed_b=Povm.random_rank_one(3, 4, rng=0)),
+     DimensionMismatchError),
+    (lambda: maximize_mi_projective(BELL_PAIR, extra_seeds=[(np.eye(2), np.eye(3))]),
+     DimensionMismatchError),
+    (lambda: classical_correlation_a(BELL_PAIR, extra_seeds=[np.eye(3)]), DimensionMismatchError),
+    (lambda: classical_correlation_a(BELL_PAIR, projective_only=False, extra_seeds=[np.eye(3)]),
+     DimensionMismatchError),
 ], ids=["effects-2d", "too-few-rank-one-outcomes", "povm-a-outcomes", "povm-b-outcomes",
-        "fixed-without-rows", "holevo-povm-outcomes", "conditional-dimension"])
+        "fixed-without-rows", "holevo-povm-outcomes", "holevo-povm-zero-outcomes",
+        "conditional-dimension", "fixed-a-dimension", "fixed-b-dimension",
+        "projective-seed-shape", "holevo-seed-shape", "holevo-povm-seed-shape"])
 def test_input_checks_raise_their_documented_errors(call, error):
     with pytest.raises(error):
         call()
