@@ -15,15 +15,32 @@ The record-information curve has period pi in the azimuth (phi -> phi + pi
 flips the sign of every binary-entropy argument's offset, and h((1+x)/2)
 is even in x), so an even azimuth grid is evaluated on its first half
 only; an odd grid has no coinciding folded points and is kept whole.  One
-private kernel maximizes the curve for a whole array of polarizations: the
-cosine table and the normalized trace are built once, the grid argmax runs
-one polarization at a time, and the best grid points are polished in
-lockstep golden-section blocks of bounded size, whose round count depends
-only on the grid.
+private kernel maximizes the curve for a whole array of polarizations.
+
+The best grid azimuth comes from the curve's Fourier series.  The curve
+is h((1 + Re(beta e^{-i phi}))/2) - mean_s g(theta_s - phi), with beta the
+polarization times the normalized trace and g(x) = h((1 + alpha cos x)/2)
+= sum_m G_m cos(m x) over even m, and G_m has a closed form that decays as
+rho**m, rho = alpha / (1 + sqrt(1 - alpha**2)) (see
+`_kernel_coefficients`).  So the mean is sum_m G_m Re(t_m e^{-i m phi}),
+where t_m is the normalized trace of U**m, the quantity a one-clean-qubit
+circuit estimates: the moments are taken once per scan, and each
+polarization's curve on the grid is one FFT, whatever 2**n is.  The
+series stops at m = 512.  A polarization takes this spectral route only
+where a geometric bound on the dropped harmonics (`_tail_bound`) is at
+most 1e-14; the rest, alpha = 1 and alpha above about 0.9992, where
+rho -> 1 and G_m falls only as m**-3, evaluate the curve directly on the
+grid.  Either way, one exact evaluation at the chosen grid point seeds the
+polish, so a row is the direct search's whenever both pick the same
+point.
+
+The best grid points are polished in lockstep golden-section blocks of
+bounded size, whose round count depends only on the grid.
 The polish keeps the best value it has seen, so no maximum is below the
-best grid value, and a scan row equals the single-polarization call
-bitwise.  The cosine table is built by angle addition, cos phi cos theta +
-sin phi sin theta, so a table costs products, not a cosine per cell.
+exact value at its grid point, and no row's arithmetic depends on the other
+rows: a scan row equals the single-polarization call bitwise.  The cosine
+table is built by angle addition, cos phi cos theta + sin phi sin theta, so
+a table costs products, not a cosine per cell.
 
 A Haar draw's eigenphases come from its Cayley transform: for a unitary u
 with no eigenvalue -1, i (1 + u)^-1 (1 - u) is Hermitian with eigenvalues
@@ -53,16 +70,21 @@ from .optimize import OptimizerConfig
 
 MAX_EXPLICIT_N = 6
 MAX_HAAR_N = 11
-# a scan holds a (grid / 2) x 2**n float table and temporaries: with 101 steps
-# n = 15 peaks at 0.48 GB in 33 s (2-core machine, one BLAS thread), and each
-# qubit doubles both, so n = 16 needs about 1 GB
+# a scan holds the 2**n phases and arrays of at most _POLISH_BLOCK_FLOATS
+# floats: with 101 steps n = 15 peaks at 71 MB in 6.8 s and n = 16 at 72 MB in
+# 13 s (2-core machine, one BLAS thread); the time doubles with each qubit
 MAX_SCAN_N = 16
 # azimuth grid points over 2 pi, and the final bracket width of the polish
 _GRID = 720
 _POLISH_XTOL = 1e-12
 # polarizations are polished in blocks of at most this many (block x 2**n)
-# floats per array, so the polish's memory does not grow with the scan length
+# floats per array, so the polish's memory does not grow with the scan length;
+# the moments, the spectral curves and a direct curve are blocked the same way
 _POLISH_BLOCK_FLOATS = 2**20
+# the highest harmonic of the spectral argmax, and the bound on the harmonics
+# it drops (bits) below which a polarization takes it
+_TERMS = 512
+_TAIL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -205,32 +227,122 @@ def _record_mi_curve(alpha, beta, phis: np.ndarray, table: np.ndarray) -> np.nda
     return first - binary_entropy(p).mean(axis=-1)
 
 
+def _kernel_coefficients(alphas, m) -> np.ndarray:
+    """Coefficients G_m of the cosine series h((1 + alpha cos x) / 2) =
+    sum_m G_m cos(m x), one row per polarization in alphas and one column
+    per harmonic in m (integers >= 0).
+
+    With c = sqrt(1 - alpha**2) and rho = alpha / (1 + c), the series of
+    log(1 +- alpha cos x) give
+        ln 2 G_0 = ln(4 / (1 + c)) - (1 - c),
+        ln 2 G_m = -2 rho**m (1 + m c) / (m (m**2 - 1))   for even m >= 2,
+    and G_m = 0 for odd m, as h((1 + y) / 2) is even in y.  The even form
+    is 2 rho**m / m - alpha (rho**(m-1) / (m-1) + rho**(m+1) / (m+1))
+    with its cancellation worked out.
+    """
+    alphas = np.asarray(alphas, dtype=float)[..., None]
+    m = np.asarray(m)
+    c = np.sqrt(1 - alphas**2)
+    # 2 stands in for m = 0 and 1, whose coefficients are set below
+    k = np.maximum(m, 2)
+    g = -2 * (alphas / (1 + c))**k * (1 + k * c) / (k * (k * k - 1.0))
+    g = np.where(m % 2 == 1, 0.0, g)
+    g = np.where(m == 0, np.log(4 / (1 + c)) - (1 - c), g)
+    return g / np.log(2)
+
+
+def _tail_bound(alphas, terms: int = _TERMS) -> np.ndarray:
+    """Bound on sum_{m > terms} |G_m| at each polarization in alphas, for an
+    even `terms`: |G_m| rho**-m decreases in m, so the dropped harmonics
+    sum to at most |G_{terms+2}| / (1 - rho**2), with 1 - rho**2 =
+    2c / (1 + c).  As |t_m| <= 1, it bounds the error of the truncated
+    series of mean_s g(theta_s - phi) at every phi.  Infinite at alpha = 1,
+    where rho = 1."""
+    alphas = np.asarray(alphas, dtype=float)
+    c = np.sqrt(1 - alphas**2)
+    dropped = -_kernel_coefficients(alphas, terms + 2)[..., 0]
+    with np.errstate(divide="ignore"):
+        return dropped * (1 + c) / (2 * c)
+
+
+def _moments(phases: np.ndarray) -> np.ndarray:
+    """Normalized traces t_m = 2**-n sum_s exp(i m theta_s) of U**m, for
+    the even harmonics m up to _TERMS, in blocks of harmonics of at most
+    _POLISH_BLOCK_FLOATS floats; each t_m is the mean of its own row,
+    whatever block it is in."""
+    m = np.arange(0, _TERMS + 1, 2)
+    rows = max(1, _POLISH_BLOCK_FLOATS // (2 * phases.size))
+    return np.concatenate([np.exp(1j * np.multiply.outer(m[lo:lo + rows], phases)).mean(axis=-1)
+                           for lo in range(0, m.size, rows)])
+
+
+def _series_length(grid: int) -> int:
+    """The least multiple of grid above _TERMS: an FFT of this length
+    evaluates every harmonic up to _TERMS on the grid without aliasing."""
+    return -(-(_TERMS + 1) // grid) * grid
+
+
+def _spectral_argmax(moments, alphas, betas, phis: np.ndarray, grid: int) -> np.ndarray:
+    """Index in phis, the first points 2 pi k / grid of the grid, of the
+    largest record information at each polarization, with the kernel's mean
+    summed from its series over the even harmonics whose `_moments` t_m
+    are given: sum_m G_m Re(t_m e^{-i m phi}) is one FFT per row, so no
+    row's arithmetic depends on the others."""
+    from numpy import fft  # numpy loads it lazily; importing qcorr does not
+
+    m = 2 * np.arange(moments.size)
+    length = _series_length(grid)
+    series = np.zeros((alphas.size, length), dtype=np.complex128)
+    series[:, m] = _kernel_coefficients(alphas, m) * moments
+    stride = length // grid
+    mean = fft.fft(series)[:, :stride * phis.size:stride].real
+    along = np.multiply.outer(betas.real, np.cos(phis))
+    along += np.multiply.outer(betas.imag, np.sin(phis))
+    return np.argmax(binary_entropy((1 + along) / 2) - mean, axis=-1)
+
+
+def _direct_argmax(phases: np.ndarray, alpha, beta, phis: np.ndarray) -> int:
+    """Index in phis of the largest record information at one polarization,
+    evaluated directly, in blocks of azimuths of at most
+    _POLISH_BLOCK_FLOATS table entries."""
+    rows = max(1, _POLISH_BLOCK_FLOATS // phases.size)
+    return int(np.argmax(np.concatenate([
+        _record_mi_curve(alpha, beta, phis[lo:lo + rows], _cos_table(phases, phis[lo:lo + rows]))
+        for lo in range(0, phis.size, rows)])))
+
+
 def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int,
                    trace: complex) -> np.ndarray:
     """Best record information over the azimuth at each polarization in
     alphas, for the eigenphases of `model` (its own alpha is not used) and
     their normalized trace.
 
-    The grid argmax runs one polarization at a time; the polish runs in
-    blocks of polarizations (see `_polish`).
+    Each polarization's best grid point comes from `_spectral_argmax` where
+    `_tail_bound` is at most _TAIL_TOL, and from `_direct_argmax`
+    otherwise; one exact evaluation there seeds `_polish`.  Polarizations
+    run in blocks, so that no array grows with the scan length.
     """
     if grid < 1:
         raise ValueError(f"grid needs at least one azimuth point, got grid={grid}")
     alphas = np.asarray(alphas, dtype=float)
     betas = alphas * trace
     phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
-    table = _cos_table(model.phases, phis)
+    spectral = _tail_bound(alphas) <= _TAIL_TOL
+    moments = _moments(model.phases) if spectral.any() else None
     best = np.empty_like(alphas)
-    centre = np.empty_like(alphas)
-    for i, (alpha, beta) in enumerate(zip(alphas, betas)):
-        values = _record_mi_curve(alpha, beta, phis, table)
-        k = int(np.argmax(values))
-        best[i], centre[i] = values[k], phis[k]
-    block = max(1, _POLISH_BLOCK_FLOATS // model.phases.size)
+    width = max(model.phases.size, 2 * _series_length(grid))
+    block = max(1, _POLISH_BLOCK_FLOATS // width)
     for lo in range(0, alphas.size, block):
         part = slice(lo, lo + block)
-        best[part] = _polish(model.phases, alphas[part], betas[part], centre[part], best[part],
-                             2 * np.pi / grid)
+        a, b, s = alphas[part], betas[part], spectral[part]
+        cell = np.empty(a.shape, dtype=np.intp)
+        if s.any():
+            cell[s] = _spectral_argmax(moments, a[s], b[s], phis, grid)
+        for i in np.flatnonzero(~s):
+            cell[i] = _direct_argmax(model.phases, a[i], b[i], phis)
+        centre = phis[cell]
+        seed = _record_mi_curve(a[:, None], b, centre, _cos_table(model.phases, centre))
+        best[part] = _polish(model.phases, a, b, centre, seed, 2 * np.pi / grid)
     return best
 
 
@@ -278,10 +390,13 @@ def dqc1_max_record_mi(model: Dqc1Model, grid: int = _GRID) -> float:
 
     The curve has period pi, so an even grid evaluates only its points
     below pi, which are all of its points modulo pi; an odd grid's points
-    do not fold onto each other and are all kept.  The best grid point is
-    polished by golden section within one grid step on either side to a
-    bracket of 1e-12 rad, and the best value seen is returned, so the
-    result is never below the best grid value.  `dqc1_scan` runs the same
+    do not fold onto each other and are all kept.  The best grid point,
+    found from the curve's Fourier series to within 2e-14 bits where that
+    series converges fast and by direct evaluation elsewhere (see the
+    module docstring), is polished by golden section within one grid step
+    on either side to a bracket of 1e-12 rad, and the best value seen is
+    returned, so the result is never below the exact value at that grid
+    point.  `dqc1_scan` runs the same
     search for all its polarizations in one batch, with bitwise equal
     results.  A grid below one point raises ValueError.
     """
@@ -322,7 +437,8 @@ def dqc1_scan(
     """
     if n > MAX_SCAN_N:
         raise UnsupportedDimensionError(
-            f"a scan holds {_GRID // 2} x 2**n floats; capped at n={MAX_SCAN_N}, got n={n}")
+            f"a scan's time doubles with each register qubit; capped at n={MAX_SCAN_N}, "
+            f"got n={n}")
     if alpha_steps < 1:
         raise ValueError(f"need at least one polarization step, got {alpha_steps}")
     if phase_model == "uniform":

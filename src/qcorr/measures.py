@@ -393,11 +393,12 @@ def _search(kernel: Callable, sides: tuple[_Side, ...], seeds, cfg: OptimizerCon
     # the polar factor of a Gaussian matrix is Haar-distributed, so one
     # Gaussian draw starts bases and POVMs alike
     n_params = sum(side.n_params for side in sides)
-    # np.empty(0) makes a seed with no side (both parties fixed) one empty start
+    # np.empty(0) makes a seed with no side (both parties fixed) one empty
+    # start; every random start would be that start again, so none is drawn
     res = multistart_minimize(
         _objective(kernel, sides),
         [np.concatenate([np.empty(0), *map(params_from_isometry, seed)]) for seed in seeds],
-        cfg.restarts,
+        cfg.restarts if n_params else 0,
         lambda rng: rng.standard_normal(n_params),
         cfg,
     )
@@ -502,7 +503,10 @@ def maximize_mi_povm(
     complex matrix, so completeness holds exactly by construction.
     Structured starts embed the projective-search result (the value can
     only improve on it) and discrete Fourier frames; fixed_a / fixed_b pin
-    a side to a given rank-one POVM of the state's dimension on that side.
+    a side to a given rank-one POVM of the state's dimension on that side,
+    whose outcome count must equal that side's n_out (ValueError
+    otherwise).  With both sides fixed the pair is evaluated once, one
+    start and no random restarts.
     """
     return _mi_povm_search(rho, n_out_a, n_out_b, cfg or OptimizerConfig(), fixed_a, fixed_b)
 
@@ -521,6 +525,10 @@ def _mi_povm_search(rho: DensityMatrix, n_out_a: int, n_out_b: int, cfg: Optimiz
         if f is not None and f.rows is None:
             raise ValueError("fixed measurements must be rank-one (have rows)")
     _check_meas_dims(rho, *(d if f is None else f.dim for f, d in zip(fixed, dims)))
+    for party, f, n_out in zip("ab", fixed, n_outs):
+        if f is not None and f.n_outcomes != n_out:
+            raise ValueError(f"fixed_{party} has {f.n_outcomes} outcomes, but n_out_{party} "
+                             f"is {n_out}")
 
     if proj is None and None in fixed:
         proj = _mi_search(rho, fixed, dims, _projective_seed_pairs(rho), cfg)

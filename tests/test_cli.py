@@ -113,11 +113,13 @@ def test_dqc1_scan_caps_haar_phases():
 
 def test_commands_run_without_scipy():
     # scipy is a test dependency only: with it blocked, the package must
-    # still import and run a search and a scan
+    # still import and run a search and a scan; numpy.fft, which only the
+    # scan's spectral argmax uses, loads with the first scan, not on import
     code = """
 import sys
 sys.modules["scipy"] = None
 from qcorr.cli import main
+assert "numpy.fft" not in sys.modules
 assert main(["analyze", sys.argv[1], "--restarts", "2", "--seed", "0"]) == 0
 assert main(["dqc1-scan", "--dims", "3", "--alpha-steps", "3"]) == 0
 print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))

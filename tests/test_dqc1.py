@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,130 @@ def test_scan_rows_do_not_depend_on_the_polish_block(monkeypatch, phase_model, b
     # budget 1 polishes one polarization at a time, 2 * 2**4 two at a time
     monkeypatch.setattr(dqc1, "_POLISH_BLOCK_FLOATS", budget)
     assert dqc1_scan(4, 9, phase_model, seed=3) == whole
+
+
+def _full_grid_max_record_mi(model, alphas, grid=720):
+    """The scan's search with the grid argmax taken by direct evaluation of
+    every grid point at every polarization, as the package did before the
+    spectral argmax: the reference for the spectral one."""
+    alphas = np.asarray(alphas, dtype=float)
+    betas = alphas * exact_normalized_trace(model)
+    phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
+    table = dqc1._cos_table(model.phases, phis)
+    best, centre = np.empty_like(alphas), np.empty_like(alphas)
+    for i, (alpha, beta) in enumerate(zip(alphas, betas)):
+        values = dqc1._record_mi_curve(alpha, beta, phis, table)
+        k = int(np.argmax(values))
+        best[i], centre[i] = values[k], phis[k]
+    return dqc1._polish(model.phases, alphas, betas, centre, best, 2 * np.pi / grid)
+
+
+def _spectral_cutoff():
+    """The polarization above which the tail bound exceeds the tolerance."""
+    lo, hi = 0.5, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if dqc1._tail_bound(mid) <= dqc1._TAIL_TOL else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 0.99])
+def test_kernel_coefficients_match_an_fft_of_the_kernel(alpha):
+    size = 4096
+    x = 2 * np.pi * np.arange(size) / size
+    kernel = dqc1.binary_entropy((1 + alpha * np.cos(x)) / 2)
+    # the cosine coefficients of a real even function: twice the real part
+    # of the FFT above m = 0
+    fft = np.fft.rfft(kernel).real / size
+    fft[1:] *= 2
+    m = np.arange(fft.size)
+    closed = dqc1._kernel_coefficients(np.array([alpha]), m)[0]
+    assert np.abs(closed - fft).max() <= 1e-15
+    assert np.all(closed[1::2] == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 0.99])
+@pytest.mark.parametrize("terms", [0, 2, 8, 32, 128, 512])
+def test_tail_bound_covers_the_dropped_harmonics(alpha, terms):
+    m = np.arange(terms + 1, 8192)
+    tail = np.abs(dqc1._kernel_coefficients(np.array([alpha]), m)).sum()
+    assert dqc1._tail_bound(alpha, terms) >= tail
+    # the bound is geometric, not loose by orders of magnitude
+    assert dqc1._tail_bound(alpha, terms) <= tail / (1 - alpha**2)
+
+
+def test_coefficients_and_bound_raise_no_warning_at_the_ends():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = dqc1._kernel_coefficients(np.array([0.0, 0.5, 1.0]), np.array([0, 1, 2, 3]))
+        bound = dqc1._tail_bound(np.array([0.0, 0.5, 1.0]))
+    # h(1/2) = 1 bit and nothing else at alpha = 0; odd harmonics vanish
+    np.testing.assert_array_equal(g[0], [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(g[:, 1::2], 0.0)
+    assert bound[0] == 0.0 and 0.0 < bound[1] < 1e-100 and bound[2] == np.inf
+
+
+def test_polarizations_near_one_take_the_direct_route(monkeypatch):
+    cut = _spectral_cutoff()
+    assert 0.999 < cut < 0.9995
+    routes = []
+
+    def route(name):
+        inner = getattr(dqc1, name)
+
+        def recorded(*args):
+            routes.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(dqc1, name, recorded)
+
+    route("_spectral_argmax")
+    route("_direct_argmax")
+    for alpha, want in ((1.0, "_direct_argmax"), (cut + 1e-9, "_direct_argmax"),
+                        (cut, "_spectral_argmax"), (0.5, "_spectral_argmax")):
+        routes.clear()
+        model = Dqc1Model.haar(5, alpha, seed=1)
+        assert dqc1_max_record_mi(model) == _full_grid_max_record_mi(model, [alpha])[0]
+        assert routes == [want]
+
+
+@pytest.mark.parametrize("n", [4, 8, 10])
+@pytest.mark.parametrize("phase_model", ["uniform", "haar"])
+def test_spectral_scan_matches_the_full_grid_reference(n, phase_model):
+    base = Dqc1Model.uniform(n, 0.0) if phase_model == "uniform" else Dqc1Model.haar(n, 0.0, 5)
+    # the scan's polarizations (dqc1_scan draws its Haar phases itself, a
+    # second second-long draw at n = 10), and those either side of the cutoff
+    cut = _spectral_cutoff()
+    alphas = np.concatenate([np.linspace(0.0, 1.0, 21 if n == 10 else 100),
+                             [0.999, cut, cut + 1e-9]])
+    got = dqc1._max_record_mi(base, alphas, 720, exact_normalized_trace(base))
+    assert np.abs(got - _full_grid_max_record_mi(base, alphas)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4242])
+def test_spectral_haar_scan_is_bitwise_the_full_grid_search(seed):
+    pts = dqc1_scan(8, 100, "haar", seed=seed)
+    want = _full_grid_max_record_mi(Dqc1Model.haar(8, 0.0, seed), [p.alpha for p in pts])
+    assert [p.max_record_mi for p in pts] == want.tolist()
+
+
+@pytest.mark.parametrize("grid", [8, 9, 720, 721])
+def test_spectral_argmax_is_within_round_off_of_the_grid_maximum(grid):
+    cut = _spectral_cutoff()
+    alphas = np.concatenate([np.linspace(0.0, cut, 30), [0.999]])
+    phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
+    for model in (Dqc1Model.uniform(6, 0.0), Dqc1Model.haar(6, 0.0, seed=7)):
+        trace = exact_normalized_trace(model)
+        moments = dqc1._moments(model.phases)
+        cells = dqc1._spectral_argmax(moments, alphas, alphas * trace, phis, grid)
+        table = dqc1._cos_table(model.phases, phis)
+        for i, alpha in enumerate(alphas):
+            values = dqc1._record_mi_curve(alpha, alpha * trace, phis, table)
+            assert values[cells[i]] >= values.max() - 2 * dqc1._TAIL_TOL
+            # a row's cell does not depend on the rows batched with it
+            alone = dqc1._spectral_argmax(moments, alphas[i:i + 1], alphas[i:i + 1] * trace,
+                                          phis, grid)
+            assert alone[0] == cells[i]
 
 
 def test_trace_estimate_statistics():

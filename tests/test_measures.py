@@ -260,6 +260,8 @@ def test_maximize_mi_povm_with_both_sides_fixed_evaluates_them(monkeypatch):
     expected = classical_mutual_info(joint_distribution(rho, fixed_a, fixed_b))
     assert res.value == pytest.approx(expected, abs=1e-12)
     assert res.meas_a is fixed_a and res.meas_b is fixed_b and res.converged
+    # one evaluation of the fixed pair, not 1 + restarts copies of it
+    assert res.n_starts == res.n_converged == 1
 
 
 def test_maximize_mi_povm_with_bob_fixed_searches_alice_alone(monkeypatch):
@@ -427,6 +429,10 @@ MIXED_EFFECTS = Povm(effects=np.stack([np.eye(2) / 2, np.eye(2) / 2]))
     (lambda: maximize_mi_povm(BELL_PAIR, 1, 3), ValueError),
     (lambda: maximize_mi_povm(BELL_PAIR, 3, 1), ValueError),
     (lambda: maximize_mi_povm(BELL_PAIR, 3, 3, fixed_a=MIXED_EFFECTS), ValueError),
+    (lambda: maximize_mi_povm(BELL_PAIR, 99, 3, fixed_a=Povm.random_rank_one(2, 4, rng=0)),
+     ValueError),
+    (lambda: maximize_mi_povm(BELL_PAIR, 3, 3, fixed_b=Povm.random_rank_one(2, 4, rng=0)),
+     ValueError),
     (lambda: classical_correlation_a(BELL_PAIR, projective_only=False, n_out=1), ValueError),
     (lambda: classical_correlation_a(BELL_PAIR, projective_only=False, n_out=0), ValueError),
     (lambda: conditional_states_b(BELL_PAIR, ProjectiveBasis.computational(3)),
@@ -441,7 +447,8 @@ MIXED_EFFECTS = Povm(effects=np.stack([np.eye(2) / 2, np.eye(2) / 2]))
     (lambda: classical_correlation_a(BELL_PAIR, projective_only=False, extra_seeds=[np.eye(3)]),
      DimensionMismatchError),
 ], ids=["effects-2d", "too-few-rank-one-outcomes", "povm-a-outcomes", "povm-b-outcomes",
-        "fixed-without-rows", "holevo-povm-outcomes", "holevo-povm-zero-outcomes",
+        "fixed-without-rows", "fixed-a-outcomes", "fixed-b-outcomes", "holevo-povm-outcomes",
+        "holevo-povm-zero-outcomes",
         "conditional-dimension", "fixed-a-dimension", "fixed-b-dimension",
         "projective-seed-shape", "holevo-seed-shape", "holevo-povm-seed-shape"])
 def test_input_checks_raise_their_documented_errors(call, error):
