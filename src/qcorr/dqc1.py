@@ -25,22 +25,30 @@ rho**m, rho = alpha / (1 + sqrt(1 - alpha**2)) (see
 `_kernel_coefficients`).  So the mean is sum_m G_m Re(t_m e^{-i m phi}),
 where t_m is the normalized trace of U**m, the quantity a one-clean-qubit
 circuit estimates: the moments are taken once per scan, and each
-polarization's curve on the grid is one FFT, whatever 2**n is.  The
-series stops at m = 512.  A polarization takes this spectral route only
-where a geometric bound on the dropped harmonics (`_tail_bound`) is at
-most 1e-14; the rest, alpha = 1 and alpha above about 0.9992, where
+polarization's curve on the grid is one FFT, whatever 2**n is.  Each
+polarization's series stops at the least even m, at most 512, where a
+geometric bound on the dropped harmonics (`_tail_bound`) is at most
+1e-14 (m = 20 at alpha = 0.5, m = 158 at alpha = 0.99), and the moments go
+only as far as the scan's highest such m.  A polarization takes this
+spectral route only where some m up to 512 qualifies; the rest, alpha = 1
+and alpha above about 0.9992, where
 rho -> 1 and G_m falls only as m**-3, evaluate the curve directly on the
 grid.  Either way, one exact evaluation at the chosen grid point seeds the
 polish, so a row is the direct search's whenever both pick the same
 point.
 
-The best grid points are polished in lockstep golden-section blocks of
-bounded size, whose round count depends only on the grid.
-The polish keeps the best value it has seen, so no maximum is below the
-exact value at its grid point, and no row's arithmetic depends on the other
-rows: a scan row equals the single-polarization call bitwise.  The cosine
-table is built by angle addition, cos phi cos theta + sin phi sin theta, so
-a table costs products, not a cosine per cell.
+The best grid points are polished, in blocks of bounded size, by a
+safeguarded Newton iteration on the curve's exact slope and curvature
+(rtsafe: a Newton step where it stays inside the bracket and shrinks fast
+enough, a bisection otherwise), which needs a few evaluations per
+polarization where a fixed-round search needed 51.  A polarization stops
+on its own step, and later rounds evaluate only the polarizations still
+moving.  The polish keeps the best value it has seen, so no maximum is
+below the exact value at its grid point, and no row's arithmetic depends
+on the other rows: a scan row equals the single-polarization call
+bitwise.  The cosine and sine tables are built by angle addition,
+cos phi cos theta + sin phi sin theta and cos phi sin theta -
+sin phi cos theta, so a table costs products, not a cosine per cell.
 
 A Haar draw's eigenphases come from its Cayley transform: for a unitary u
 with no eigenvalue -1, i (1 + u)^-1 (1 - u) is Hermitian with eigenvalues
@@ -71,10 +79,12 @@ from .optimize import OptimizerConfig
 MAX_EXPLICIT_N = 6
 MAX_HAAR_N = 11
 # a scan holds the 2**n phases and arrays of at most _POLISH_BLOCK_FLOATS
-# floats: with 101 steps n = 15 peaks at 71 MB in 6.8 s and n = 16 at 72 MB in
-# 13 s (2-core machine, one BLAS thread); the time doubles with each qubit
-MAX_SCAN_N = 16
-# azimuth grid points over 2 pi, and the final bracket width of the polish
+# floats: with 101 steps n = 16 peaks at 81 MB in 1.6 s, n = 17 at 82 MB in
+# 3.1 s and n = 18 at 84 MB in 6.8 s (2-core machine, one BLAS thread); the
+# time doubles with each qubit, and n = 19 takes 16 s
+MAX_SCAN_N = 18
+# azimuth grid points over 2 pi, and the step of the polish below which a
+# polarization stops (rad)
 _GRID = 720
 _POLISH_XTOL = 1e-12
 # polarizations are polished in blocks of at most this many (block x 2**n)
@@ -251,26 +261,35 @@ def _kernel_coefficients(alphas, m) -> np.ndarray:
     return g / np.log(2)
 
 
-def _tail_bound(alphas, terms: int = _TERMS) -> np.ndarray:
-    """Bound on sum_{m > terms} |G_m| at each polarization in alphas, for an
-    even `terms`: |G_m| rho**-m decreases in m, so the dropped harmonics
-    sum to at most |G_{terms+2}| / (1 - rho**2), with 1 - rho**2 =
-    2c / (1 + c).  As |t_m| <= 1, it bounds the error of the truncated
-    series of mean_s g(theta_s - phi) at every phi.  Infinite at alpha = 1,
-    where rho = 1."""
+def _tail_bound(alphas, terms=_TERMS) -> np.ndarray:
+    """Bound on sum_{m > terms} |G_m| at each polarization in alphas and
+    each even harmonic in terms (shape alphas.shape + terms.shape):
+    |G_m| rho**-m decreases in m, so the dropped harmonics sum to at most
+    |G_{terms+2}| / (1 - rho**2), with 1 - rho**2 = 2c / (1 + c).  As
+    |t_m| <= 1, it bounds the error of the truncated series of
+    mean_s g(theta_s - phi) at every phi.  Infinite at alpha = 1, where
+    rho = 1."""
     alphas = np.asarray(alphas, dtype=float)
-    c = np.sqrt(1 - alphas**2)
-    dropped = -_kernel_coefficients(alphas, terms + 2)[..., 0]
+    terms = np.asarray(terms)
+    c = np.sqrt(1 - alphas**2)[..., None]
+    dropped = -_kernel_coefficients(alphas, terms.reshape(-1) + 2)
     with np.errstate(divide="ignore"):
-        return dropped * (1 + c) / (2 * c)
+        return (dropped * (1 + c) / (2 * c)).reshape(alphas.shape + terms.shape)
 
 
-def _moments(phases: np.ndarray) -> np.ndarray:
+def _cutoff(alphas) -> np.ndarray:
+    """Least even harmonic m <= _TERMS at each polarization in alphas
+    whose `_tail_bound` is at most _TAIL_TOL (0 where none is)."""
+    m = np.arange(0, _TERMS + 1, 2)
+    return m[np.argmax(_tail_bound(alphas, m) <= _TAIL_TOL, axis=-1)]
+
+
+def _moments(phases: np.ndarray, terms: int = _TERMS) -> np.ndarray:
     """Normalized traces t_m = 2**-n sum_s exp(i m theta_s) of U**m, for
-    the even harmonics m up to _TERMS, in blocks of harmonics of at most
+    the even harmonics m up to terms, in blocks of harmonics of at most
     _POLISH_BLOCK_FLOATS floats; each t_m is the mean of its own row,
     whatever block it is in."""
-    m = np.arange(0, _TERMS + 1, 2)
+    m = np.arange(0, terms + 1, 2)
     rows = max(1, _POLISH_BLOCK_FLOATS // (2 * phases.size))
     return np.concatenate([np.exp(1j * np.multiply.outer(m[lo:lo + rows], phases)).mean(axis=-1)
                            for lo in range(0, m.size, rows)])
@@ -285,15 +304,17 @@ def _series_length(grid: int) -> int:
 def _spectral_argmax(moments, alphas, betas, phis: np.ndarray, grid: int) -> np.ndarray:
     """Index in phis, the first points 2 pi k / grid of the grid, of the
     largest record information at each polarization, with the kernel's mean
-    summed from its series over the even harmonics whose `_moments` t_m
-    are given: sum_m G_m Re(t_m e^{-i m phi}) is one FFT per row, so no
-    row's arithmetic depends on the others."""
+    summed from its series over the even harmonics up to the polarization's
+    `_cutoff`, whose `_moments` t_m are among those given:
+    sum_m G_m Re(t_m e^{-i m phi}) is one FFT per row, so no row's
+    arithmetic depends on the others or on how many moments are given."""
     from numpy import fft  # numpy loads it lazily; importing qcorr does not
 
     m = 2 * np.arange(moments.size)
     length = _series_length(grid)
     series = np.zeros((alphas.size, length), dtype=np.complex128)
-    series[:, m] = _kernel_coefficients(alphas, m) * moments
+    series[:, m] = np.where(m <= _cutoff(alphas)[:, None],
+                            _kernel_coefficients(alphas, m) * moments, 0.0)
     stride = length // grid
     mean = fft.fft(series)[:, :stride * phis.size:stride].real
     along = np.multiply.outer(betas.real, np.cos(phis))
@@ -328,7 +349,8 @@ def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int,
     betas = alphas * trace
     phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
     spectral = _tail_bound(alphas) <= _TAIL_TOL
-    moments = _moments(model.phases) if spectral.any() else None
+    # the moments go only as far as the highest cutoff among the scan's rows
+    moments = _moments(model.phases, _cutoff(alphas[spectral]).max()) if spectral.any() else None
     best = np.empty_like(alphas)
     width = max(model.phases.size, 2 * _series_length(grid))
     block = max(1, _POLISH_BLOCK_FLOATS // width)
@@ -346,35 +368,98 @@ def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int,
     return best
 
 
-def _polish(phases, alphas, betas, centre, best, step):
-    """Golden-section search within one grid step of each centre, keeping
-    the best value seen (at least `best`).
+def _sin_table(phases: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """sin(theta_s - phi_k), one row per azimuth phi_k, by angle addition
+    like `_cos_table`: cos phi_k sin theta_s - sin phi_k cos theta_s."""
+    table = np.multiply.outer(np.cos(phis), np.sin(phases))
+    table -= np.multiply.outer(np.sin(phis), np.cos(phases))
+    return table
 
-    Every bracket shrinks in the same round, one (alphas, 2**n) evaluation
-    each; the round count depends on the step alone, so an alpha's result
-    does not depend on the batch it is in.
+
+def _record_mi_slope(alphas, betas, phis, cos_table, sin_table):
+    """First and second derivatives in phi of `_record_mi_curve`, one
+    polarization, azimuth and table row each, from h'(p) = log2((1 - p) / p)
+    and h''(p) = -1 / (ln 2 p (1 - p)): the control's offset
+    Re(beta e^{-i phi}) moves as Im(beta e^{-i phi}), and the register's
+    p_s = (1 + alpha cos(theta_s - phi)) / 2 as (alpha / 2) sin(theta_s - phi).
+    Where some p is 0 or 1 the slope is infinite or NaN, and numpy warns;
+    the caller silences that."""
+    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
+    along = betas.real * cos_phi + betas.imag * sin_phi
+    across = betas.imag * cos_phi - betas.real * sin_phi
+    lift = np.log2(1 - along) - np.log2(1 + along)
+    slope = lift * across / 2
+    curv = -across**2 / (np.log(2) * (1 + along) * (1 - along)) - lift * along / 2
+    # the register, in place over a few (rows, 2**n) arrays: shift is
+    # p_s - 1/2 and move is dp_s/dphi, and the register term enters the
+    # curve with a minus sign
+    half = 0.5 * alphas[:, None]
+    shift = cos_table * half
+    up, down = 0.5 + shift, 0.5 - shift
+    lift = np.log2(down)
+    down *= up
+    down *= np.log(2)
+    lift -= np.log2(up, out=up)
+    move = np.multiply(sin_table, half, out=up)
+    # d/dphi h(p_s) = h'(p_s) move, d2/dphi2 h(p_s) = h''(p_s) move**2 - h'(p_s) shift
+    shift *= lift
+    lift *= move
+    slope -= lift.mean(axis=-1)
+    move *= move
+    move /= down
+    move += shift
+    curv += move.mean(axis=-1)
+    return slope, curv
+
+
+def _polish(phases, alphas, betas, centre, best, step):
+    """Safeguarded Newton iteration on the slope of the record-information
+    curve within one grid step of each centre (rtsafe, Numerical Recipes
+    sec. 9.4), keeping the best value seen (at least `best`).
+
+    The bracket is [centre, centre + step] where the slope at the centre is
+    >= 0, [centre - step, centre] otherwise, and shrinks on the slope's
+    sign.  A Newton step is taken where the curvature is negative, the step
+    stays inside the bracket and it is at most half the step before last;
+    otherwise the bracket is bisected.  A row stops once its step falls
+    below _POLISH_XTOL, once |slope| times the bracket width is at most
+    1e-16 (flat to round-off), or where the slope is not finite.  Stopped
+    rows freeze and later rounds evaluate only the live ones, so a row's
+    arithmetic does not depend on the batch it is in.
     """
 
-    def curve(phi):
-        return _record_mi_curve(alphas[:, None], betas, phi, _cos_table(phases, phi))
+    def slope(rows, phi, table):
+        return _record_mi_slope(alphas[rows], betas[rows], phi, table, _sin_table(phases, phi))
 
-    shrink = (np.sqrt(5) - 1) / 2
-    rounds = int(np.ceil(np.log(_POLISH_XTOL / (2 * step)) / np.log(shrink)))
-    lo, hi = centre - step, centre + step
-    inner_lo, inner_hi = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    f_lo, f_hi = curve(inner_lo), curve(inner_hi)
-    best = np.maximum(best, np.maximum(f_lo, f_hi))
-    for _ in range(rounds):
-        # keep [lo, inner_hi] where the lower inner point is better
-        left = f_lo > f_hi
-        lo = np.where(left, lo, inner_lo)
-        hi = np.where(left, inner_hi, hi)
-        probe = np.where(left, hi - shrink * (hi - lo), lo + shrink * (hi - lo))
-        f_probe = curve(probe)
-        best = np.maximum(best, f_probe)
-        inner_lo, inner_hi = np.where(left, probe, inner_hi), np.where(left, inner_lo, probe)
-        f_lo, f_hi = np.where(left, f_probe, f_hi), np.where(left, f_lo, f_probe)
-    return best
+    best = np.array(best, dtype=float)
+    rows = np.arange(best.size)
+    phi = np.asarray(centre, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad, curv = slope(rows, phi, _cos_table(phases, phi))
+        rising = grad >= 0
+        # rise and fall are the bracket's ends where the slope is >= 0 and < 0
+        rise = np.where(rising, phi, phi - step)
+        fall = np.where(rising, phi + step, phi)
+        last = before = np.full(best.shape, float(step))
+        while True:
+            width = np.abs(fall - rise)
+            newton = phi - grad / curv
+            take = ((curv < 0) & (newton > np.minimum(rise, fall)) & (newton < np.maximum(rise, fall))
+                    & (np.abs(2 * grad) <= np.abs(before * curv)))
+            target = np.where(take, newton, (rise + fall) / 2)
+            before, last = last, np.abs(target - phi)
+            live = np.isfinite(grad) & (np.abs(grad) * width > 1e-16) & (last >= _POLISH_XTOL)
+            if not live.any():
+                return best
+            rows, phi, rise, fall, before, last = (
+                x[live] for x in (rows, target, rise, fall, before, last))
+            table = _cos_table(phases, phi)
+            best[rows] = np.maximum(best[rows],
+                                    _record_mi_curve(alphas[rows, None], betas[rows], phi, table))
+            grad, curv = slope(rows, phi, table)
+            rising = grad >= 0
+            rise = np.where(rising, phi, rise)
+            fall = np.where(rising, fall, phi)
 
 
 def dqc1_record_mi(model: Dqc1Model, phi: float) -> float:
@@ -393,10 +478,11 @@ def dqc1_max_record_mi(model: Dqc1Model, grid: int = _GRID) -> float:
     do not fold onto each other and are all kept.  The best grid point,
     found from the curve's Fourier series to within 2e-14 bits where that
     series converges fast and by direct evaluation elsewhere (see the
-    module docstring), is polished by golden section within one grid step
-    on either side to a bracket of 1e-12 rad, and the best value seen is
-    returned, so the result is never below the exact value at that grid
-    point.  `dqc1_scan` runs the same
+    module docstring), is polished by a safeguarded Newton iteration on the
+    curve's slope within one grid step on either side, until its step
+    falls below 1e-12 rad, and the best value seen is returned, so the
+    result is never below the exact value at that grid point.  `dqc1_scan`
+    runs the same
     search for all its polarizations in one batch, with bitwise equal
     results.  A grid below one point raises ValueError.
     """
@@ -437,8 +523,8 @@ def dqc1_scan(
     """
     if n > MAX_SCAN_N:
         raise UnsupportedDimensionError(
-            f"a scan's time doubles with each register qubit; capped at n={MAX_SCAN_N}, "
-            f"got n={n}")
+            f"a scan's time doubles with each register qubit (n=18: 7 s and 84 MB at 101 steps); "
+            f"capped at n={MAX_SCAN_N}, got n={n}")
     if alpha_steps < 1:
         raise ValueError(f"need at least one polarization step, got {alpha_steps}")
     if phase_model == "uniform":

@@ -220,6 +220,108 @@ def _full_grid_max_record_mi(model, alphas, grid=720):
     return dqc1._polish(model.phases, alphas, betas, centre, best, 2 * np.pi / grid)
 
 
+def _golden_section_polish(phases, alphas, betas, centre, best, step):
+    """The polish as the package ran it before the Newton iteration: golden
+    section within one grid step of each centre, in lockstep rounds whose
+    count depends only on the step, to a bracket of _POLISH_XTOL, keeping
+    the best value seen.  The reference for `dqc1._polish`."""
+
+    def curve(phi):
+        return dqc1._record_mi_curve(alphas[:, None], betas, phi, dqc1._cos_table(phases, phi))
+
+    shrink = (np.sqrt(5) - 1) / 2
+    rounds = int(np.ceil(np.log(dqc1._POLISH_XTOL / (2 * step)) / np.log(shrink)))
+    lo, hi = centre - step, centre + step
+    inner_lo, inner_hi = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f_lo, f_hi = curve(inner_lo), curve(inner_hi)
+    best = np.maximum(best, np.maximum(f_lo, f_hi))
+    for _ in range(rounds):
+        # keep [lo, inner_hi] where the lower inner point is better
+        left = f_lo > f_hi
+        lo = np.where(left, lo, inner_lo)
+        hi = np.where(left, inner_hi, hi)
+        probe = np.where(left, hi - shrink * (hi - lo), lo + shrink * (hi - lo))
+        f_probe = curve(probe)
+        best = np.maximum(best, f_probe)
+        inner_lo, inner_hi = np.where(left, probe, inner_hi), np.where(left, inner_lo, probe)
+        f_lo, f_hi = np.where(left, f_probe, f_hi), np.where(left, f_lo, f_probe)
+    return best
+
+
+@pytest.mark.parametrize("grid", [8, 9, 720, 721])
+def test_polish_matches_the_golden_section_reference(grid):
+    alphas = np.concatenate([np.linspace(0.0, 1.0, 21), [0.999, 0.9995, 0.99999]])
+    phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
+    step = 2 * np.pi / grid
+    for n in (1, 2, 3, 4, 6, 8):
+        models = [Dqc1Model.uniform(n, 0.0)] + [Dqc1Model.haar(n, 0.0, seed) for seed in (0, 1, 4242)]
+        for model in models:
+            betas = alphas * exact_normalized_trace(model)
+            table = dqc1._cos_table(model.phases, phis)
+            values = np.array([dqc1._record_mi_curve(a, b, phis, table)
+                               for a, b in zip(alphas, betas)])
+            cells = np.argmax(values, axis=-1)
+            seed, centre = values[np.arange(alphas.size), cells], phis[cells]
+            got = dqc1._polish(model.phases, alphas, betas, centre, seed, step)
+            want = _golden_section_polish(model.phases, alphas, betas, centre, seed, step)
+            assert np.all(got >= seed)
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_record_mi_slope_matches_finite_differences():
+    model = Dqc1Model.haar(4, 0.0, seed=1)
+    alphas = np.array([0.3, 0.7, 0.95])
+    betas = alphas * exact_normalized_trace(model)
+    phi, h = np.array([1.1, 0.3, 2.5]), 1e-4
+
+    def curve(x):
+        return dqc1._record_mi_curve(alphas[:, None], betas, x, dqc1._cos_table(model.phases, x))
+
+    slope, curv = dqc1._record_mi_slope(alphas, betas, phi, dqc1._cos_table(model.phases, phi),
+                                        dqc1._sin_table(model.phases, phi))
+    np.testing.assert_allclose(slope, (curve(phi + h) - curve(phi - h)) / (2 * h),
+                               rtol=1e-6, atol=1e-12)
+    np.testing.assert_allclose(curv, (curve(phi + h) - 2 * curve(phi) + curve(phi - h)) / h**2,
+                               rtol=1e-4, atol=1e-9)
+
+
+@pytest.mark.parametrize("phase_model, seed, most", [("uniform", 0, 2), ("haar", 4242, 8)])
+def test_polish_takes_few_slope_evaluations_per_row(monkeypatch, phase_model, seed, most):
+    counts = {}
+    inner = dqc1._record_mi_slope
+
+    def counted(alphas, *args):
+        # a scan's polarizations are distinct, so each names its row
+        for alpha in alphas.tolist():
+            counts[alpha] = counts.get(alpha, 0) + 1
+        return inner(alphas, *args)
+
+    monkeypatch.setattr(dqc1, "_record_mi_slope", counted)
+    pts = dqc1_scan(8, 100, phase_model, seed)
+    assert sorted(counts) == [p.alpha for p in pts]
+    # near alpha = 1 outcome probabilities approach 0 and 1, where the
+    # curvature grows without bound and the iteration may bisect longer
+    assert max(count for alpha, count in counts.items() if alpha < 0.999) <= most
+    if phase_model == "uniform":
+        assert max(counts.values()) <= most
+
+
+def test_moments_stop_at_the_highest_cutoff_a_scan_needs():
+    np.testing.assert_array_equal(dqc1._cutoff(np.array([0.0, 0.5, 0.99])), [0, 20, 158])
+    assert np.all(dqc1._tail_bound(np.array([0.5, 0.99]), np.array([18, 156])).diagonal()
+                  > dqc1._TAIL_TOL)
+    model = Dqc1Model.haar(6, 0.0, seed=7)
+    alphas = np.linspace(0.0, 0.99, 12)
+    betas = alphas * exact_normalized_trace(model)
+    phis = 2 * np.pi * np.arange(360) / 720
+    full = dqc1._moments(model.phases)
+    short = dqc1._moments(model.phases, int(dqc1._cutoff(alphas).max()))
+    assert short.size == 158 // 2 + 1
+    np.testing.assert_array_equal(short, full[:short.size])
+    np.testing.assert_array_equal(dqc1._spectral_argmax(short, alphas, betas, phis, 720),
+                                  dqc1._spectral_argmax(full, alphas, betas, phis, 720))
+
+
 def _spectral_cutoff():
     """The polarization above which the tail bound exceeds the tolerance."""
     lo, hi = 0.5, 1.0
@@ -345,7 +447,7 @@ def test_trace_estimate_statistics():
 
 @pytest.mark.parametrize("call,error", [
     (lambda: Dqc1Model(1, 0.5, [0.0, np.inf]), InvalidStateError),
-    (lambda: dqc1_scan(17, 3), UnsupportedDimensionError),
+    (lambda: dqc1_scan(dqc1.MAX_SCAN_N + 1, 3), UnsupportedDimensionError),
 ], ids=["infinite-phase", "scan-above-cap"])
 def test_input_checks_raise_their_documented_errors(call, error):
     with pytest.raises(error):
