@@ -61,7 +61,11 @@ def _check_mub_dim(d: int) -> None:
 def _floor_k_term(d: int, m: int) -> tuple[int, float]:
     """k = floor(m d / (d + m - 1)) and the term
     k ((k + 1)(d + m - 1) / d - m) log2(1 + 1/k) that the floor-k forms of
-    the total-information ceiling and of the entropic floor share."""
+    the total-information ceiling and of the entropic floor share; a
+    dimension or a count below one raises ValueError."""
+    if d < 1 or m < 1:
+        raise ValueError(f"need a dimension and a basis count of at least one, "
+                         f"got d={d}, count={m}")
     k = int(np.floor(m * d / (d + m - 1)))
     return k, k * ((k + 1) * (d + m - 1) / d - m) * np.log2(1 + 1 / k)
 
@@ -145,6 +149,7 @@ def mub_total_bound(dim_a: int, count: int) -> tuple[float, float, int]:
     Returns (refined, half, k): the floor-k refinement, the weaker
     count/2 * log2(d) form, and the integer k used by the refinement.  The
     refinement is the stronger of the two once count exceeds sqrt(d) + 1.
+    A dimension or a count below one raises ValueError.
     """
     d, m = dim_a, count
     k, term = _floor_k_term(d, m)
@@ -185,7 +190,8 @@ def state_independent_bound(dim_a: int) -> tuple[float, float]:
 
 def entropic_sum_bound(dim_a: int, count: int) -> float:
     """Lower bound on the summed outcome entropies over `count` unbiased
-    bases: the stronger of the floor-k form and (count/2) log2(d)."""
+    bases: the stronger of the floor-k form and (count/2) log2(d).  A
+    dimension or a count below one raises ValueError."""
     d, m = dim_a, count
     k, term = _floor_k_term(d, m)
     strong = m * np.log2(k + 1) - term

@@ -46,8 +46,12 @@ on its own step, and later rounds evaluate only the polarizations still
 moving.  The polish keeps the best value it has seen, so no maximum is
 below the exact value at its grid point, and no row's arithmetic depends
 on the other rows: a scan row equals the single-polarization call
-bitwise.  The cosine and sine tables are built by angle addition,
-cos phi cos theta + sin phi sin theta and cos phi sin theta -
+bitwise.  One kernel, `_record_mi_jet`, gives the curve's value, slope and
+curvature together, so the seed evaluation at the grid point is the
+polish's first round and each later round is one call.  The register's
+cos theta and sin theta are taken once per scan, and the tables
+cos(theta - phi) and sin(theta - phi) are built from them by angle
+addition, cos phi cos theta + sin phi sin theta and cos phi sin theta -
 sin phi cos theta, so a table costs products, not a cosine per cell.
 
 A Haar draw's eigenphases come from its Cayley transform: for a unitary u
@@ -78,10 +82,10 @@ from .optimize import OptimizerConfig
 
 MAX_EXPLICIT_N = 6
 MAX_HAAR_N = 11
-# a scan holds the 2**n phases and arrays of at most _POLISH_BLOCK_FLOATS
-# floats: with 101 steps n = 16 peaks at 81 MB in 1.6 s, n = 17 at 82 MB in
-# 3.1 s and n = 18 at 84 MB in 6.8 s (2-core machine, one BLAS thread); the
-# time doubles with each qubit, and n = 19 takes 16 s
+# a scan holds the 2**n phases, their cos and sin, and arrays of at most
+# _POLISH_BLOCK_FLOATS floats: with 101 steps n = 16 peaks at 73 MB in 1.2 s,
+# n = 17 at 75 MB in 2.7 s and n = 18 at 78 MB in 4.8 s (2-core machine, one
+# BLAS thread); the time doubles with each qubit, and n = 19 takes 12 s
 MAX_SCAN_N = 18
 # azimuth grid points over 2 pi, and the step of the polish below which a
 # polarization stops (rad)
@@ -147,8 +151,8 @@ class Dqc1Model:
         """Eigenphases of a given unitary, from a general eigendecomposition:
         unlike a Haar draw, a caller's unitary may have the eigenvalue -1."""
         u = np.asarray(u, dtype=np.complex128)
-        dim = u.shape[0]
-        if u.shape != (dim, dim) or np.linalg.norm(u @ u.conj().T - np.eye(dim)) > 1e-9:
+        dim = u.shape[0] if u.ndim else 0
+        if not dim or u.shape != (dim, dim) or np.linalg.norm(u @ u.conj().T - np.eye(dim)) > 1e-9:
             raise InvalidStateError("expected a square unitary matrix")
         n = int(round(np.log2(dim)))
         if 2**n != dim:
@@ -216,12 +220,13 @@ def dqc1_quantum_mi(model: Dqc1Model) -> float:
     return float(_quantum_mi(model.alpha, exact_normalized_trace(model)))
 
 
-def _cos_table(phases: np.ndarray, phis: np.ndarray) -> np.ndarray:
+def _cos_table(trig, phis: np.ndarray) -> np.ndarray:
     """cos(theta_s - phi_k), one row per azimuth phi_k, as
-    cos phi_k cos theta_s + sin phi_k sin theta_s: one cosine and one sine
-    per row and per column, and two products and a sum per cell."""
-    table = np.multiply.outer(np.cos(phis), np.cos(phases))
-    table += np.multiply.outer(np.sin(phis), np.sin(phases))
+    cos phi_k cos theta_s + sin phi_k sin theta_s, from the register's
+    trig = (cos theta_s, sin theta_s): one cosine and one sine per row,
+    and two products and a sum per cell."""
+    table = np.multiply.outer(np.cos(phis), trig[0])
+    table += np.multiply.outer(np.sin(phis), trig[1])
     return table
 
 
@@ -322,13 +327,13 @@ def _spectral_argmax(moments, alphas, betas, phis: np.ndarray, grid: int) -> np.
     return np.argmax(binary_entropy((1 + along) / 2) - mean, axis=-1)
 
 
-def _direct_argmax(phases: np.ndarray, alpha, beta, phis: np.ndarray) -> int:
+def _direct_argmax(trig, alpha, beta, phis: np.ndarray) -> int:
     """Index in phis of the largest record information at one polarization,
     evaluated directly, in blocks of azimuths of at most
     _POLISH_BLOCK_FLOATS table entries."""
-    rows = max(1, _POLISH_BLOCK_FLOATS // phases.size)
+    rows = max(1, _POLISH_BLOCK_FLOATS // trig[0].size)
     return int(np.argmax(np.concatenate([
-        _record_mi_curve(alpha, beta, phis[lo:lo + rows], _cos_table(phases, phis[lo:lo + rows]))
+        _record_mi_curve(alpha, beta, phis[lo:lo + rows], _cos_table(trig, phis[lo:lo + rows]))
         for lo in range(0, phis.size, rows)])))
 
 
@@ -340,14 +345,16 @@ def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int,
 
     Each polarization's best grid point comes from `_spectral_argmax` where
     `_tail_bound` is at most _TAIL_TOL, and from `_direct_argmax`
-    otherwise; one exact evaluation there seeds `_polish`.  Polarizations
-    run in blocks, so that no array grows with the scan length.
+    otherwise, and `_polish` starts there.  The register's cos theta_s and
+    sin theta_s are taken once, here.  Polarizations run in blocks, so that
+    no array grows with the scan length.
     """
     if grid < 1:
         raise ValueError(f"grid needs at least one azimuth point, got grid={grid}")
     alphas = np.asarray(alphas, dtype=float)
     betas = alphas * trace
     phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
+    trig = (np.cos(model.phases), np.sin(model.phases))
     spectral = _tail_bound(alphas) <= _TAIL_TOL
     # the moments go only as far as the highest cutoff among the scan's rows
     moments = _moments(model.phases, _cutoff(alphas[spectral]).max()) if spectral.any() else None
@@ -361,46 +368,42 @@ def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int,
         if s.any():
             cell[s] = _spectral_argmax(moments, a[s], b[s], phis, grid)
         for i in np.flatnonzero(~s):
-            cell[i] = _direct_argmax(model.phases, a[i], b[i], phis)
-        centre = phis[cell]
-        seed = _record_mi_curve(a[:, None], b, centre, _cos_table(model.phases, centre))
-        best[part] = _polish(model.phases, a, b, centre, seed, 2 * np.pi / grid)
+            cell[i] = _direct_argmax(trig, a[i], b[i], phis)
+        best[part] = _polish(trig, a, b, phis[cell], 2 * np.pi / grid)
     return best
 
 
-def _sin_table(phases: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """sin(theta_s - phi_k), one row per azimuth phi_k, by angle addition
-    like `_cos_table`: cos phi_k sin theta_s - sin phi_k cos theta_s."""
-    table = np.multiply.outer(np.cos(phis), np.sin(phases))
-    table -= np.multiply.outer(np.sin(phis), np.cos(phases))
-    return table
-
-
-def _record_mi_slope(alphas, betas, phis, cos_table, sin_table):
-    """First and second derivatives in phi of `_record_mi_curve`, one
-    polarization, azimuth and table row each, from h'(p) = log2((1 - p) / p)
-    and h''(p) = -1 / (ln 2 p (1 - p)): the control's offset
-    Re(beta e^{-i phi}) moves as Im(beta e^{-i phi}), and the register's
+def _record_mi_jet(alphas, betas, phis, trig):
+    """Value and first and second derivatives in phi of `_record_mi_curve`,
+    one polarization and azimuth per row, from one `_cos_table`.  The
+    derivatives follow from h'(p) = log2((1 - p) / p) and
+    h''(p) = -1 / (ln 2 p (1 - p)): the control's offset Re(beta e^{-i phi})
+    moves as Im(beta e^{-i phi}), and the register's
     p_s = (1 + alpha cos(theta_s - phi)) / 2 as (alpha / 2) sin(theta_s - phi).
     Where some p is 0 or 1 the slope is infinite or NaN, and numpy warns;
     the caller silences that."""
+    half = 0.5 * alphas[:, None]
+    shift = _cos_table(trig, phis)
+    value = _record_mi_curve(alphas[:, None], betas, phis, shift)
     cos_phi, sin_phi = np.cos(phis), np.sin(phis)
     along = betas.real * cos_phi + betas.imag * sin_phi
     across = betas.imag * cos_phi - betas.real * sin_phi
     lift = np.log2(1 - along) - np.log2(1 + along)
     slope = lift * across / 2
     curv = -across**2 / (np.log(2) * (1 + along) * (1 - along)) - lift * along / 2
-    # the register, in place over a few (rows, 2**n) arrays: shift is
-    # p_s - 1/2 and move is dp_s/dphi, and the register term enters the
-    # curve with a minus sign
-    half = 0.5 * alphas[:, None]
-    shift = cos_table * half
+    # the register, in place over a few (rows, 2**n) arrays: the table
+    # becomes shift = p_s - 1/2, and move = dp_s/dphi is built by angle
+    # addition in a freed buffer; the register term enters the curve with a
+    # minus sign
+    shift *= half
     up, down = 0.5 + shift, 0.5 - shift
     lift = np.log2(down)
     down *= up
     down *= np.log(2)
     lift -= np.log2(up, out=up)
-    move = np.multiply(sin_table, half, out=up)
+    move = np.multiply.outer(cos_phi, trig[1], out=up)
+    move -= np.multiply.outer(sin_phi, trig[0])
+    move *= half
     # d/dphi h(p_s) = h'(p_s) move, d2/dphi2 h(p_s) = h''(p_s) move**2 - h'(p_s) shift
     shift *= lift
     lift *= move
@@ -409,13 +412,15 @@ def _record_mi_slope(alphas, betas, phis, cos_table, sin_table):
     move /= down
     move += shift
     curv += move.mean(axis=-1)
-    return slope, curv
+    return value, slope, curv
 
 
-def _polish(phases, alphas, betas, centre, best, step):
+def _polish(trig, alphas, betas, centre, step):
     """Safeguarded Newton iteration on the slope of the record-information
     curve within one grid step of each centre (rtsafe, Numerical Recipes
-    sec. 9.4), keeping the best value seen (at least `best`).
+    sec. 9.4), keeping the best value seen, the first being the value at
+    the centre.  Each round makes one `_record_mi_jet` call on the rows
+    still moving.
 
     The bracket is [centre, centre + step] where the slope at the centre is
     >= 0, [centre - step, centre] otherwise, and shrinks on the slope's
@@ -427,15 +432,10 @@ def _polish(phases, alphas, betas, centre, best, step):
     rows freeze and later rounds evaluate only the live ones, so a row's
     arithmetic does not depend on the batch it is in.
     """
-
-    def slope(rows, phi, table):
-        return _record_mi_slope(alphas[rows], betas[rows], phi, table, _sin_table(phases, phi))
-
-    best = np.array(best, dtype=float)
-    rows = np.arange(best.size)
+    rows = np.arange(alphas.size)
     phi = np.asarray(centre, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        grad, curv = slope(rows, phi, _cos_table(phases, phi))
+        best, grad, curv = _record_mi_jet(alphas, betas, phi, trig)
         rising = grad >= 0
         # rise and fall are the bracket's ends where the slope is >= 0 and < 0
         rise = np.where(rising, phi, phi - step)
@@ -453,10 +453,8 @@ def _polish(phases, alphas, betas, centre, best, step):
                 return best
             rows, phi, rise, fall, before, last = (
                 x[live] for x in (rows, target, rise, fall, before, last))
-            table = _cos_table(phases, phi)
-            best[rows] = np.maximum(best[rows],
-                                    _record_mi_curve(alphas[rows, None], betas[rows], phi, table))
-            grad, curv = slope(rows, phi, table)
+            value, grad, curv = _record_mi_jet(alphas[rows], betas[rows], phi, trig)
+            best[rows] = np.maximum(best[rows], value)
             rising = grad >= 0
             rise = np.where(rising, phi, rise)
             fall = np.where(rising, fall, phi)
@@ -467,7 +465,8 @@ def dqc1_record_mi(model: Dqc1Model, phi: float) -> float:
     equatorial direction phi and the register in its eigenbasis."""
     phis = np.array([phi], dtype=float)
     beta = model.alpha * exact_normalized_trace(model)
-    return float(_record_mi_curve(model.alpha, beta, phis, _cos_table(model.phases, phis))[0])
+    trig = (np.cos(model.phases), np.sin(model.phases))
+    return float(_record_mi_curve(model.alpha, beta, phis, _cos_table(trig, phis))[0])
 
 
 def dqc1_max_record_mi(model: Dqc1Model, grid: int = _GRID) -> float:
@@ -523,7 +522,7 @@ def dqc1_scan(
     """
     if n > MAX_SCAN_N:
         raise UnsupportedDimensionError(
-            f"a scan's time doubles with each register qubit (n=18: 7 s and 84 MB at 101 steps); "
+            f"a scan's time doubles with each register qubit (n=18: 5 s and 78 MB at 101 steps); "
             f"capped at n={MAX_SCAN_N}, got n={n}")
     if alpha_steps < 1:
         raise ValueError(f"need at least one polarization step, got {alpha_steps}")

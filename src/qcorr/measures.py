@@ -369,18 +369,12 @@ def _objective(kernel: Callable, sides: tuple[_Side, ...]):
     and the points (S, n) of those rows, which lie on the manifold."""
     parts = [(part, side.n_out, side.d) for side, part in zip(sides, _param_slices(sides))]
 
-    def flat(arrays, x):
-        # the empty x[..., :0] gives the batch shape when there is no side
-        return np.concatenate(arrays + [x[..., :0]], axis=-1)
-
     def objective(x):
         charts = [isometry_from_params_vjp(x[..., part], n_out, d) for part, n_out, d in parts]
         value, *grads = kernel(*(w for w, _ in charts))
-        # with no side (a record-mi search with both parties fixed) the
-        # value carries no batch axis: the only case broadcast_to serves
-        return (-np.broadcast_to(value, x.shape[:-1]),
-                -flat([pull(g) for (_, pull), g in zip(charts, grads)], x),
-                flat([params_from_isometry(w) for w, _ in charts], x))
+        return (-value,
+                -np.concatenate([pull(g) for (_, pull), g in zip(charts, grads)], axis=-1),
+                np.concatenate([params_from_isometry(w) for w, _ in charts], axis=-1))
 
     return objective
 
@@ -393,12 +387,10 @@ def _search(kernel: Callable, sides: tuple[_Side, ...], seeds, cfg: OptimizerCon
     # the polar factor of a Gaussian matrix is Haar-distributed, so one
     # Gaussian draw starts bases and POVMs alike
     n_params = sum(side.n_params for side in sides)
-    # np.empty(0) makes a seed with no side (both parties fixed) one empty
-    # start; every random start would be that start again, so none is drawn
     res = multistart_minimize(
         _objective(kernel, sides),
-        [np.concatenate([np.empty(0), *map(params_from_isometry, seed)]) for seed in seeds],
-        cfg.restarts if n_params else 0,
+        [np.concatenate([params_from_isometry(w) for w in seed]) for seed in seeds],
+        cfg.restarts,
         lambda rng: rng.standard_normal(n_params),
         cfg,
     )
@@ -424,8 +416,11 @@ def _mi_search(rho: DensityMatrix, fixed: tuple[Povm | None, Povm | None],
     a rank-one POVM with n_outs[k] outcomes, from the free halves of the
     seed pairs: pairs that differ only on a fixed party are one start,
     which multistart_minimize runs once.  Each fixed POVM comes back as it
-    was given."""
+    was given; with both parties fixed there is nothing to search, and the
+    pair is evaluated once."""
     free = [k for k, f in enumerate(fixed) if f is None]
+    if not free:
+        return MiSearchResult(float(_mi_kernel(rho, fixed)()[0]), *fixed, True, 1, 1)
     sides = tuple(_Side(n_outs[k], (rho.dim_a, rho.dim_b)[k]) for k in free)
     seeds = [[pair[k] for k in free] for pair in seed_pairs]
     res, found = _search(_mi_kernel(rho, fixed), sides, seeds, cfg)

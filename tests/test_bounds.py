@@ -101,6 +101,13 @@ def test_entropic_sum_bound_frozen_values(d, count, floor):
     assert entropic_sum_bound(d, count) == pytest.approx(floor, abs=1e-12)
 
 
+@pytest.mark.parametrize("bound", [mub_total_bound, entropic_sum_bound])
+@pytest.mark.parametrize("d,count", [(3, 0), (3, -1), (0, 1), (-2, 3)])
+def test_unbiased_basis_bounds_reject_a_count_or_dimension_below_one(bound, d, count):
+    with pytest.raises(ValueError, match="at least one"):
+        bound(d, count)
+
+
 def test_entropic_sum_saturates_on_extreme_states():
     fam = mub_family(2, 3)
     assert entropic_sum(np.eye(2) / 2, fam) == pytest.approx(3.0, abs=1e-12)

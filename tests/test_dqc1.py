@@ -211,23 +211,24 @@ def _full_grid_max_record_mi(model, alphas, grid=720):
     alphas = np.asarray(alphas, dtype=float)
     betas = alphas * exact_normalized_trace(model)
     phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
-    table = dqc1._cos_table(model.phases, phis)
+    trig = (np.cos(model.phases), np.sin(model.phases))
+    table = dqc1._cos_table(trig, phis)
     best, centre = np.empty_like(alphas), np.empty_like(alphas)
     for i, (alpha, beta) in enumerate(zip(alphas, betas)):
         values = dqc1._record_mi_curve(alpha, beta, phis, table)
         k = int(np.argmax(values))
         best[i], centre[i] = values[k], phis[k]
-    return dqc1._polish(model.phases, alphas, betas, centre, best, 2 * np.pi / grid)
+    return np.maximum(best, dqc1._polish(trig, alphas, betas, centre, 2 * np.pi / grid))
 
 
-def _golden_section_polish(phases, alphas, betas, centre, best, step):
+def _golden_section_polish(trig, alphas, betas, centre, best, step):
     """The polish as the package ran it before the Newton iteration: golden
     section within one grid step of each centre, in lockstep rounds whose
     count depends only on the step, to a bracket of _POLISH_XTOL, keeping
     the best value seen.  The reference for `dqc1._polish`."""
 
     def curve(phi):
-        return dqc1._record_mi_curve(alphas[:, None], betas, phi, dqc1._cos_table(phases, phi))
+        return dqc1._record_mi_curve(alphas[:, None], betas, phi, dqc1._cos_table(trig, phi))
 
     shrink = (np.sqrt(5) - 1) / 2
     rounds = int(np.ceil(np.log(dqc1._POLISH_XTOL / (2 * step)) / np.log(shrink)))
@@ -257,13 +258,14 @@ def test_polish_matches_the_golden_section_reference(grid):
         models = [Dqc1Model.uniform(n, 0.0)] + [Dqc1Model.haar(n, 0.0, seed) for seed in (0, 1, 4242)]
         for model in models:
             betas = alphas * exact_normalized_trace(model)
-            table = dqc1._cos_table(model.phases, phis)
+            trig = (np.cos(model.phases), np.sin(model.phases))
+            table = dqc1._cos_table(trig, phis)
             values = np.array([dqc1._record_mi_curve(a, b, phis, table)
                                for a, b in zip(alphas, betas)])
             cells = np.argmax(values, axis=-1)
             seed, centre = values[np.arange(alphas.size), cells], phis[cells]
-            got = dqc1._polish(model.phases, alphas, betas, centre, seed, step)
-            want = _golden_section_polish(model.phases, alphas, betas, centre, seed, step)
+            got = dqc1._polish(trig, alphas, betas, centre, step)
+            want = _golden_section_polish(trig, alphas, betas, centre, seed, step)
             assert np.all(got >= seed)
             assert np.abs(got - want).max() <= 1e-12
 
@@ -273,12 +275,13 @@ def test_record_mi_slope_matches_finite_differences():
     alphas = np.array([0.3, 0.7, 0.95])
     betas = alphas * exact_normalized_trace(model)
     phi, h = np.array([1.1, 0.3, 2.5]), 1e-4
+    trig = (np.cos(model.phases), np.sin(model.phases))
 
     def curve(x):
-        return dqc1._record_mi_curve(alphas[:, None], betas, x, dqc1._cos_table(model.phases, x))
+        return dqc1._record_mi_curve(alphas[:, None], betas, x, dqc1._cos_table(trig, x))
 
-    slope, curv = dqc1._record_mi_slope(alphas, betas, phi, dqc1._cos_table(model.phases, phi),
-                                        dqc1._sin_table(model.phases, phi))
+    value, slope, curv = dqc1._record_mi_jet(alphas, betas, phi, trig)
+    assert value.tolist() == curve(phi).tolist()
     np.testing.assert_allclose(slope, (curve(phi + h) - curve(phi - h)) / (2 * h),
                                rtol=1e-6, atol=1e-12)
     np.testing.assert_allclose(curv, (curve(phi + h) - 2 * curve(phi) + curve(phi - h)) / h**2,
@@ -288,7 +291,7 @@ def test_record_mi_slope_matches_finite_differences():
 @pytest.mark.parametrize("phase_model, seed, most", [("uniform", 0, 2), ("haar", 4242, 8)])
 def test_polish_takes_few_slope_evaluations_per_row(monkeypatch, phase_model, seed, most):
     counts = {}
-    inner = dqc1._record_mi_slope
+    inner = dqc1._record_mi_jet
 
     def counted(alphas, *args):
         # a scan's polarizations are distinct, so each names its row
@@ -296,7 +299,7 @@ def test_polish_takes_few_slope_evaluations_per_row(monkeypatch, phase_model, se
             counts[alpha] = counts.get(alpha, 0) + 1
         return inner(alphas, *args)
 
-    monkeypatch.setattr(dqc1, "_record_mi_slope", counted)
+    monkeypatch.setattr(dqc1, "_record_mi_jet", counted)
     pts = dqc1_scan(8, 100, phase_model, seed)
     assert sorted(counts) == [p.alpha for p in pts]
     # near alpha = 1 outcome probabilities approach 0 and 1, where the
@@ -304,6 +307,21 @@ def test_polish_takes_few_slope_evaluations_per_row(monkeypatch, phase_model, se
     assert max(count for alpha, count in counts.items() if alpha < 0.999) <= most
     if phase_model == "uniform":
         assert max(counts.values()) <= most
+
+
+def test_scan_takes_the_register_trig_once(monkeypatch):
+    trigs = []
+    inner = dqc1._cos_table
+
+    def recorded(trig, phis):
+        trigs.append(trig)
+        return inner(trig, phis)
+
+    monkeypatch.setattr(dqc1, "_cos_table", recorded)
+    dqc1_scan(6, 21, "haar", seed=1)
+    # the alpha = 1 row's direct argmax and every polish round build tables
+    assert len(trigs) > 2
+    assert all(t[0] is trigs[0][0] and t[1] is trigs[0][1] for t in trigs)
 
 
 def test_moments_stop_at_the_highest_cutoff_a_scan_needs():
@@ -420,7 +438,7 @@ def test_spectral_argmax_is_within_round_off_of_the_grid_maximum(grid):
         trace = exact_normalized_trace(model)
         moments = dqc1._moments(model.phases)
         cells = dqc1._spectral_argmax(moments, alphas, alphas * trace, phis, grid)
-        table = dqc1._cos_table(model.phases, phis)
+        table = dqc1._cos_table((np.cos(model.phases), np.sin(model.phases)), phis)
         for i, alpha in enumerate(alphas):
             values = dqc1._record_mi_curve(alpha, alpha * trace, phis, table)
             assert values[cells[i]] >= values.max() - 2 * dqc1._TAIL_TOL
@@ -448,7 +466,9 @@ def test_trace_estimate_statistics():
 @pytest.mark.parametrize("call,error", [
     (lambda: Dqc1Model(1, 0.5, [0.0, np.inf]), InvalidStateError),
     (lambda: dqc1_scan(dqc1.MAX_SCAN_N + 1, 3), UnsupportedDimensionError),
-], ids=["infinite-phase", "scan-above-cap"])
+    (lambda: Dqc1Model.from_unitary(0.5, 1.0), InvalidStateError),
+    (lambda: Dqc1Model.from_unitary(0.5, np.zeros((0, 0))), InvalidStateError),
+], ids=["infinite-phase", "scan-above-cap", "scalar-unitary", "empty-unitary"])
 def test_input_checks_raise_their_documented_errors(call, error):
     with pytest.raises(error):
         call()
