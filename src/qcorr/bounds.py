@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -61,10 +62,18 @@ def _check_mub_dim(d: int) -> None:
 def _floor_k_term(d: int, m: int) -> tuple[int, float]:
     """k = floor(m d / (d + m - 1)) and the term
     k ((k + 1)(d + m - 1) / d - m) log2(1 + 1/k) that the floor-k forms of
-    the total-information ceiling and of the entropic floor share; a
-    dimension or a count below one raises ValueError."""
+    the total-information ceiling and of the entropic floor share.  A
+    dimension or a count that is not an integer or is below one raises
+    ValueError, and so does a count above d + 1: no dimension has more than
+    d + 1 pairwise unbiased bases (Wootters & Fields, Ann. Phys. 191, 363,
+    1989)."""
+    if not (isinstance(d, Integral) and isinstance(m, Integral)):
+        raise ValueError(f"need an integer dimension and basis count, got d={d}, count={m}")
     if d < 1 or m < 1:
         raise ValueError(f"need a dimension and a basis count of at least one, "
+                         f"got d={d}, count={m}")
+    if m > d + 1:
+        raise ValueError(f"no dimension has more than d + 1 pairwise unbiased bases, "
                          f"got d={d}, count={m}")
     k = int(np.floor(m * d / (d + m - 1)))
     return k, k * ((k + 1) * (d + m - 1) / d - m) * np.log2(1 + 1 / k)
@@ -149,7 +158,9 @@ def mub_total_bound(dim_a: int, count: int) -> tuple[float, float, int]:
     Returns (refined, half, k): the floor-k refinement, the weaker
     count/2 * log2(d) form, and the integer k used by the refinement.  The
     refinement is the stronger of the two once count exceeds sqrt(d) + 1.
-    A dimension or a count below one raises ValueError.
+    A dimension or a count that is not an integer, is below one, or a count
+    above d + 1 (more bases than any dimension has pairwise unbiased)
+    raises ValueError.
     """
     d, m = dim_a, count
     k, term = _floor_k_term(d, m)
@@ -191,7 +202,9 @@ def state_independent_bound(dim_a: int) -> tuple[float, float]:
 def entropic_sum_bound(dim_a: int, count: int) -> float:
     """Lower bound on the summed outcome entropies over `count` unbiased
     bases: the stronger of the floor-k form and (count/2) log2(d).  A
-    dimension or a count below one raises ValueError."""
+    dimension or a count that is not an integer, is below one, or a count
+    above d + 1 (more bases than any dimension has pairwise unbiased)
+    raises ValueError."""
     d, m = dim_a, count
     k, term = _floor_k_term(d, m)
     strong = m * np.log2(k + 1) - term

@@ -9,10 +9,10 @@ nonclassicality / discord figures are upper estimates.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate, groupby, product
 
 import numpy as np
 
@@ -36,9 +36,9 @@ from .linalg import (
 )
 from .optimize import (
     OptimizerConfig,
+    _multistart,
     isometry_from_params,
     isometry_from_params_vjp,
-    multistart_minimize,
     n_isometry_params,
     params_from_isometry,
 )
@@ -79,10 +79,14 @@ def _rank_one_effects(rows: np.ndarray) -> np.ndarray:
 def _conditional_blocks(r4: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """Unnormalized states of B after outcome i of Alice's effects:
     m_i = Tr_A[rho (M_i (x) 1)], stacked (..., n_out, dim_b, dim_b): one
-    matmul of the effects, flattened over (A, a), on r4 as a matrix."""
-    da, db = r4.shape[:2]
+    matmul of the effects, flattened over (A, a), on r4 as a matrix.  A
+    stack of states r4 (..., da, db, da, db) broadcasts with the effects'
+    leading axes, one state per effect stack."""
+    da, db = r4.shape[-4:-2]
     flat = effects.reshape(effects.shape[:-2] + (da * da,))
-    blocks = flat @ r4.transpose(2, 0, 1, 3).reshape(da * da, db * db)
+    # (a, b, A, B) -> (A, a, b, B); two swapaxes cost less than np.moveaxis
+    r_mat = r4.swapaxes(-4, -2).swapaxes(-3, -2).reshape(r4.shape[:-4] + (da * da, db * db))
+    blocks = flat @ r_mat
     return blocks.reshape(blocks.shape[:-1] + (db, db))
 
 
@@ -363,45 +367,68 @@ def _param_slices(sides: tuple[_Side, ...]) -> list[slice]:
 
 def _objective(kernel: Callable, sides: tuple[_Side, ...]):
     """-kernel on the sides' parameters, for the batched L-BFGS.  kernel
-    takes one row stack per side and returns the value and one rows
-    gradient per side.  Stacked points (S, n) give values (S,), the
-    gradients (S, n) projected onto the tangent spaces at the sides' rows,
-    and the points (S, n) of those rows, which lie on the manifold."""
-    parts = [(part, side.n_out, side.d) for side, part in zip(sides, _param_slices(sides))]
+    takes the owner argument of the lockstep (the problem index of each
+    point, see optimize._multistart; None for a lone evaluation) and one
+    row stack per side, and returns the value and one rows gradient per
+    side.  Stacked points (S, n) give values (S,), the gradients (S, n)
+    projected onto the tangent spaces at the sides' rows, and the points
+    (S, n) of those rows, which lie on the manifold.
 
-    def objective(x):
-        charts = [isometry_from_params_vjp(x[..., part], n_out, d) for part, n_out, d in parts]
-        value, *grads = kernel(*(w for w, _ in charts))
-        return (-value,
-                -np.concatenate([pull(g) for (_, pull), g in zip(charts, grads)], axis=-1),
-                np.concatenate([params_from_isometry(w) for w, _ in charts], axis=-1))
+    Consecutive sides of equal (n_out, d), such as the two bases of a d x d
+    record-mi search, are stacked on one axis and go through one polar map
+    and one pullback.  The SVD and every product there act on each matrix
+    of the stack alone, so stacking changes no bits."""
+    runs = [(side, len(list(run))) for side, run in groupby(sides)]
+    cuts = list(accumulate((side.n_params * k for side, k in runs), initial=0))
+
+    def objective(x, owner=None):
+        lead = x.shape[:-1]
+        charts = [isometry_from_params_vjp(x[..., lo:hi].reshape(lead + (k, side.n_params)),
+                                           side.n_out, side.d)
+                  for (side, k), lo, hi in zip(runs, cuts, cuts[1:])]
+        value, *grads = kernel(owner, *(w[..., j, :, :] for (w, _), (_, k) in zip(charts, runs)
+                                        for j in range(k)))
+        grads = iter(grads)
+        pulled = [pull(_stacked([next(grads) for _ in range(k)])).reshape(lead + (-1,))
+                  for (_, pull), (_, k) in zip(charts, runs)]
+        return (-value, -np.concatenate(pulled, axis=-1),
+                np.concatenate([params_from_isometry(w).reshape(lead + (-1,)) for w, _ in charts],
+                               axis=-1))
 
     return objective
 
 
-def _search(kernel: Callable, sides: tuple[_Side, ...], seeds, cfg: OptimizerConfig):
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new axis -3; a lone array gets the axis as a
+    view, which costs a tenth of np.stack."""
+    return arrays[0][..., np.newaxis, :, :] if len(arrays) == 1 else np.stack(arrays, axis=-3)
+
+
+def _search(kernel: Callable, sides: tuple[_Side, ...], problem_seeds, cfg: OptimizerConfig):
     """Multi-start L-BFGS maximizing kernel over the sides' measurements,
-    from the seeds (one row matrix per side each) and cfg.restarts random
-    starts.  Returns the SearchResult, whose value is the minimized -kernel,
-    and the best start's measurement on each side."""
+    one problem per entry of problem_seeds, all in one lockstep: problem k
+    starts from its seeds (one row matrix per side each) and cfg.restarts
+    random starts, and kernel is told which problem each point belongs to.
+    Returns per problem the SearchResult, whose value is the minimized
+    -kernel, and the best start's measurement on each side."""
     # the polar factor of a Gaussian matrix is Haar-distributed, so one
     # Gaussian draw starts bases and POVMs alike
     n_params = sum(side.n_params for side in sides)
-    res = multistart_minimize(
+    results = _multistart(
         _objective(kernel, sides),
-        [np.concatenate([params_from_isometry(w) for w in seed]) for seed in seeds],
-        cfg.restarts,
-        lambda rng: rng.standard_normal(n_params),
+        [([np.concatenate([params_from_isometry(w) for w in seed]) for seed in seeds],
+          cfg.restarts, lambda rng: rng.standard_normal(n_params)) for seeds in problem_seeds],
         cfg,
     )
-    return res, [side.povm(res.params[part]) for side, part in zip(sides, _param_slices(sides))]
+    return [(res, [side.povm(res.params[part]) for side, part in zip(sides, _param_slices(sides))])
+            for res in results]
 
 
 def _mi_kernel(rho: DensityMatrix, fixed: tuple[Povm | None, Povm | None]):
     """_mi_value_grad on the free parties' rows alone (fixed[k] is None),
     each fixed party's rows bound in: returns the value and the free
     parties' rows gradients."""
-    def kernel(*free_rows):
+    def kernel(_owner, *free_rows):
         free = iter(free_rows)
         rows = [next(free) if f is None else f.rows for f in fixed]
         value, *grads = _mi_value_grad(rho.mat, *rows)
@@ -415,15 +442,15 @@ def _mi_search(rho: DensityMatrix, fixed: tuple[Povm | None, Povm | None],
     """Record-mi search over the free parties (fixed[k] is None), party k
     a rank-one POVM with n_outs[k] outcomes, from the free halves of the
     seed pairs: pairs that differ only on a fixed party are one start,
-    which multistart_minimize runs once.  Each fixed POVM comes back as it
+    which the search runs once.  Each fixed POVM comes back as it
     was given; with both parties fixed there is nothing to search, and the
     pair is evaluated once."""
     free = [k for k, f in enumerate(fixed) if f is None]
     if not free:
-        return MiSearchResult(float(_mi_kernel(rho, fixed)()[0]), *fixed, True, 1, 1)
+        return MiSearchResult(float(_mi_kernel(rho, fixed)(None)[0]), *fixed, True, 1, 1)
     sides = tuple(_Side(n_outs[k], (rho.dim_a, rho.dim_b)[k]) for k in free)
     seeds = [[pair[k] for k in free] for pair in seed_pairs]
-    res, found = _search(_mi_kernel(rho, fixed), sides, seeds, cfg)
+    [(res, found)] = _search(_mi_kernel(rho, fixed), sides, [seeds], cfg)
     found = iter(found)
     meas_a, meas_b = (next(found) if f is None else f for f in fixed)
     return MiSearchResult(-res.value, meas_a, meas_b, res.converged, res.n_starts, res.n_converged)
@@ -582,7 +609,8 @@ def _neg_avg_conditional_entropy(r4: np.ndarray, effects: np.ndarray) -> float:
 def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
     """_neg_avg_conditional_entropy for the rank-one effects with rows <k_i|,
     and its gradient with respect to the rows; stacked rows (..., n, d) give
-    (...,) values.
+    (...,) values.  r4 is one state, or a stack of states (..., da, db, da,
+    db) with one state per row stack.
 
     On each unnormalized conditional block m_i the derivative is
     L_i = log2 m_i - log2(p_i) 1 (the entropy of p_i m_i / p_i gives
@@ -597,8 +625,9 @@ def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
     value = (vals * lv).sum(axis=(-2, -1)) - (probs * lp).sum(axis=-1)
     logm = (vecs * (lv - lp[..., np.newaxis])[..., np.newaxis, :]) @ adjoint(vecs)
     # z[i, a, A] = sum_bB L_i[B, b] r4[a, b, A, B]: one matmul, as in _conditional_blocks
-    da, db = r4.shape[:2]
-    r_adj = r4.transpose(3, 1, 0, 2).reshape(db * db, da * da)
+    da, db = r4.shape[-4:-2]
+    # (a, b, A, B) -> (B, b, a, A)
+    r_adj = r4.swapaxes(-4, -1).swapaxes(-2, -1).reshape(r4.shape[:-4] + (db * db, da * da))
     z = (logm.reshape(logm.shape[:-2] + (db * db,)) @ r_adj).reshape(logm.shape[:-2] + (da, da))
     return value, 2.0 * np.einsum("...iAa,...iA->...ia", z, rows)
 
@@ -616,27 +645,48 @@ def classical_correlation_a(
     rank-one POVM with n_out outcomes (default dim_a**2) is optimized
     instead.  Heuristic lower bound, exact at the returned measurement.
     extra_seeds takes basis unitaries to refine from, e.g. the mi-optimal
-    Alice basis.
+    Alice basis.  full_report runs this search on rho and on its swap in
+    one lockstep (_holevo_searches), with results == these calls.
     """
-    cfg = cfg or OptimizerConfig()
-    _check_opt_dims(rho)
-    da = rho.dim_a
-    _, va = hermitian_eigen(marginal_mats(rho)[0])
-    seeds = [np.eye(da), adjoint(va)] + [_seed_rows(u, da) for u in extra_seeds or []]
-    if projective_only:
-        side = _Side(da, da)
-    else:
-        n_out = da * da if n_out is None else n_out
-        if n_out < da:
-            raise ValueError(f"n_out must be >= {da}, got {n_out}")
-        seeds = [_embed_basis(u, n_out) for u in seeds]
-        seeds.insert(2, _fourier_frame(n_out, da))  # before any extra_seeds
-        side = _Side(n_out, da)
-    res, (meas,) = _search(partial(_holevo_value_grad, _r4(rho)), (side,),
-                           [(seed,) for seed in seeds], cfg)
-    # res.value is the minimized -(conditional-entropy defect)
-    return HolevoSearchResult(von_neumann_entropy(marginal_mats(rho)[1]) - res.value, meas,
-                              res.converged, res.n_starts, res.n_converged)
+    return _holevo_searches([rho], cfg or OptimizerConfig(), projective_only, n_out,
+                            [extra_seeds or []])[0]
+
+
+def _holevo_searches(states: list[DensityMatrix], cfg: OptimizerConfig, projective_only: bool,
+                     n_out: int | None, extra_seeds: list[list[np.ndarray]]
+                     ) -> list[HolevoSearchResult]:
+    """classical_correlation_a of each state, state k seeded also from the
+    basis unitaries extra_seeds[k].  States of equal dimensions search the
+    same side and run as the problems of one lockstep (optimize._multistart),
+    each row evaluated on its own state's r4; states of other dimensions
+    form groups of their own.  A row's path depends on its row alone, so
+    each result is == the one-state call."""
+    groups = defaultdict(list)
+    for k, rho in enumerate(states):
+        _check_opt_dims(rho)
+        groups[rho.dim_a, rho.dim_b].append(k)
+    results = [None] * len(states)
+    for (da, _), group in groups.items():
+        n = da if projective_only else da * da if n_out is None else n_out
+        if n < da:
+            raise ValueError(f"n_out must be >= {da}, got {n}")
+        problem_seeds = []
+        for k in group:
+            _, va = hermitian_eigen(marginal_mats(states[k])[0])
+            seeds = [np.eye(da), adjoint(va)] + [_seed_rows(u, da) for u in extra_seeds[k]]
+            if not projective_only:
+                seeds = [_embed_basis(u, n) for u in seeds]
+                seeds.insert(2, _fourier_frame(n, da))  # before any extra_seeds
+            problem_seeds.append([(seed,) for seed in seeds])
+        r4s = np.stack([_r4(states[k]) for k in group])
+        found = _search(lambda owner, rows: _holevo_value_grad(r4s[owner], rows),
+                        (_Side(n, da),), problem_seeds, cfg)
+        for k, (res, (meas,)) in zip(group, found):
+            # res.value is the minimized -(conditional-entropy defect)
+            s_b = von_neumann_entropy(marginal_mats(states[k])[1])
+            results[k] = HolevoSearchResult(s_b - res.value, meas, res.converged, res.n_starts,
+                                            res.n_converged)
+    return results
 
 
 def _clamp_discord(raw: float) -> float:
@@ -794,7 +844,11 @@ def full_report(
     The classical-correlation searches are seeded with the mi-optimal
     bases, which pins the chain eigenbasis_mi <= mi_projective <=
     classical_corr at the evaluated points, so disturbance >=
-    nonclassicality >= discord holds up to float round-off.
+    nonclassicality >= discord holds up to float round-off.  So the
+    record-mi search runs first, and then the two Holevo searches, on rho
+    and on its swap, as one lockstep when dim_a == dim_b and as two
+    otherwise (_holevo_searches); either way each equals its
+    classical_correlation_a call bit for bit.
     """
     cfg = cfg or OptimizerConfig()
     ma, mb = marginal_mats(rho)
@@ -809,8 +863,7 @@ def full_report(
 
     eig = i_eigenbasis(rho)
 
-    cc_a = classical_correlation_a(rho, cfg, extra_seeds=[ua])
-    cc_b = classical_correlation_a(swap_sides(rho), cfg, extra_seeds=[ub])
+    cc_a, cc_b = _holevo_searches([rho, swap_sides(rho)], cfg, True, None, [[ua], [ub]])
 
     n_out_a, n_out_b = povm_outcomes or (None, None)
     mi_povm = None

@@ -30,10 +30,13 @@ and the points it evaluated them at: a search on the manifold returns its
 trial points retracted, with the tangent gradients there, and an accepted
 step moves a start to its retracted point, so every start stays on the
 manifold with no vector transport; an unconstrained objective returns its
-input.  Each start is its own L-BFGS: the compact representation with the
-last HISTORY curvature pairs, a backtracking Armijo line search of at most
-MAX_TRIALS trials, and stopping tests on its own row alone, with scipy's
-status codes:
+input.  One lockstep can also carry the starts of several problems with
+the same parameter count (_multistart): the objective then receives, with
+the points, the index of the problem each one belongs to, so that one
+kernel call can evaluate every problem's rows on its own data.  Each start
+is its own L-BFGS: the compact representation with the last HISTORY
+curvature pairs, a backtracking Armijo line search of at most MAX_TRIALS
+trials, and stopping tests on its own row alone, with scipy's status codes:
 
 * 0: the largest entry of the (tangent) gradient is at most
   cfg.tolerance, or an accepted step lowered the value by a relative FTOL
@@ -42,7 +45,10 @@ status codes:
 * 2: the line search failed.
 
 Since no start's path depends on another's, results are deterministic and
-monotone in the number of restarts.
+monotone in the number of restarts, and a problem's result is the same,
+bit for bit, whether it runs alone or in one lockstep with other problems:
+every batched operation here (matmul, solve, the SVD of the polar map)
+works on each row's own matrices.
 """
 from __future__ import annotations
 
@@ -215,8 +221,10 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
     """Run L-BFGS from every row of x0 at once.
 
-    Each round evaluates the objective once, on the stacked trial points of
-    the rows still running; it returns values (S,), gradients (S, n) and
+    Each round makes one call objective(x, live), on the stacked trial
+    points x of the rows still running, live holding their indices into
+    x0 (so that the rows of several problems can share a call, each
+    picking its own data); it returns values (S,), gradients (S, n) and
     the points (S, n) it evaluated them at, which an accepted step keeps
     (a retraction returns the trial points mapped onto its manifold, an
     unconstrained objective its input).
@@ -224,8 +232,12 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
     s.y > eps |y|^2), its own backtracking Armijo line search (at most
     MAX_TRIALS trials, each cut to the minimizer of a quadratic fit, kept
     within [0.1, 0.5] of the last trial) and its own stopping test, so a
-    row's path does not depend on the other rows.  Returns the final points,
-    values, and per-row evaluation counts, accepted steps and statuses.
+    row's path does not depend on the other rows.  Every batched product
+    and solve here works on each row's own matrices, so that holds bit for
+    bit, and rows of several problems can share one lockstep with results
+    == separate runs, provided the objective too treats each row alone.
+    Returns the final points, values, and per-row evaluation counts,
+    accepted steps and statuses.
     """
     x = np.array(x0, dtype=float)
     n_rows, n = x.shape
@@ -234,7 +246,7 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
 
     # state of the rows still running; retired rows are copied out and dropped
     live = np.arange(n_rows)
-    f, g, x = (np.array(a, dtype=float) for a in objective(x))
+    f, g, x = (np.array(a, dtype=float) for a in objective(x, live))
     s_hist = np.zeros((n_rows, HISTORY, n))
     y_hist = np.zeros((n_rows, HISTORY, n))
     n_pairs = np.zeros(n_rows, dtype=int)
@@ -262,7 +274,7 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
                 return x_out, f_out, nfev, nit, status
 
         xt = x + t[:, np.newaxis] * p
-        ft, gt, xr = objective(xt)
+        ft, gt, xr = objective(xt, live)
         evals += 1
         ok = ft <= f + ARMIJO * t * slope
 
@@ -277,7 +289,7 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
         # through f, the slope and the trial value
         curvature = ft - f - slope * t
         fit = np.divide(-slope * t * t, 2.0 * curvature, out=0.1 * t, where=curvature > 0)
-        shrunk = np.clip(fit, 0.1 * t, 0.5 * t)
+        shrunk = np.minimum(np.maximum(fit, 0.1 * t), 0.5 * t)
 
         x = np.where(ok[:, np.newaxis], xr, x)
         f = np.where(ok, ft, f)
@@ -303,6 +315,46 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
         t = np.where(ok, np.where(n_pairs > 0, 1.0, fresh), shrunk)
 
 
+def _starts(start_points, n_random: int, random_start, cfg: OptimizerConfig) -> list:
+    """The distinct structured starts, then n_random seeded random ones; the
+    random stream for restart k is derived from (cfg.seed, k)."""
+    starts = []
+    for s in start_points:
+        s = np.asarray(s, dtype=float)
+        # a repeated structured start would only rerun the same path
+        if not any(np.array_equal(s, seen) for seen in starts):
+            starts.append(s)
+    for k in range(n_random):
+        starts.append(np.asarray(random_start(as_rng([cfg.seed, k])), dtype=float))
+    if not starts:
+        raise ValueError("multistart_minimize needs at least one start")
+    return starts
+
+
+def _multistart(objective, problems, cfg: OptimizerConfig) -> list[SearchResult]:
+    """multistart_minimize for several problems of one parameter count in a
+    single lockstep: problems holds (start_points, n_random, random_start)
+    per problem, and objective(x, owner) gets with the stacked points the
+    index of the problem each belongs to.  Returns one SearchResult per
+    problem, == the one a lockstep of that problem alone gives, since no
+    row's path depends on another's."""
+    per_problem = [_starts(*problem, cfg) for problem in problems]
+    owner = np.repeat(np.arange(len(problems)), [len(starts) for starts in per_problem])
+    x, f, nfev, nit, status = _lockstep_lbfgs(
+        lambda points, live: objective(points, owner[live]),
+        np.stack([s for starts in per_problem for s in starts]), cfg)
+    results = []
+    for k in range(len(problems)):
+        mine = owner == k
+        xk, fk, nfevk, nitk, statusk = x[mine], f[mine], nfev[mine], nit[mine], status[mine]
+        best = int(np.argmin(np.where(np.isnan(fk), np.inf, fk)))
+        results.append(SearchResult(
+            value=float(fk[best]), params=xk[best], converged=bool(statusk[best] == 0),
+            n_starts=len(fk), nfev=tuple(nfevk.tolist()), nit=tuple(nitk.tolist()),
+            status=tuple(statusk.tolist())))
+    return results
+
+
 def multistart_minimize(objective, start_points, n_random: int, random_start,
                         cfg: OptimizerConfig) -> SearchResult:
     """L-BFGS from every distinct structured start plus n_random seeded
@@ -320,19 +372,5 @@ def multistart_minimize(objective, start_points, n_random: int, random_start,
     results do not depend on evaluation order and are monotone in the
     number of restarts.
     """
-    starts = []
-    for s in start_points:
-        s = np.asarray(s, dtype=float)
-        # a repeated structured start would only rerun the same path
-        if not any(np.array_equal(s, seen) for seen in starts):
-            starts.append(s)
-    for k in range(n_random):
-        rng = as_rng([cfg.seed, k])
-        starts.append(np.asarray(random_start(rng), dtype=float))
-    if not starts:
-        raise ValueError("multistart_minimize needs at least one start")
-    x, f, nfev, nit, status = _lockstep_lbfgs(objective, np.stack(starts), cfg)
-    best = int(np.argmin(np.where(np.isnan(f), np.inf, f)))
-    return SearchResult(value=float(f[best]), params=x[best], converged=bool(status[best] == 0),
-                        n_starts=len(starts), nfev=tuple(nfev.tolist()), nit=tuple(nit.tolist()),
-                        status=tuple(status.tolist()))
+    return _multistart(lambda x, _: objective(x), [(start_points, n_random, random_start)],
+                       cfg)[0]

@@ -108,6 +108,20 @@ def test_unbiased_basis_bounds_reject_a_count_or_dimension_below_one(bound, d, c
         bound(d, count)
 
 
+@pytest.mark.parametrize("bound", [mub_total_bound, entropic_sum_bound])
+@pytest.mark.parametrize("d,count,match", [
+    (2, 4, "more than d \\+ 1"),
+    (2, 7, "more than d \\+ 1"),
+    (3, 5, "more than d \\+ 1"),
+    (3, 2.5, "integer"),
+    (2.0, 2, "integer"),
+])
+def test_unbiased_basis_bounds_reject_impossible_basis_counts(bound, d, count, match):
+    # no dimension has more than d + 1 pairwise unbiased bases
+    with pytest.raises(ValueError, match=match):
+        bound(d, count)
+
+
 def test_entropic_sum_saturates_on_extreme_states():
     fam = mub_family(2, 3)
     assert entropic_sum(np.eye(2) / 2, fam) == pytest.approx(3.0, abs=1e-12)

@@ -2,7 +2,6 @@
 finite differences, stacked evaluation against one point at a time, the
 lockstep L-BFGS, and the searches on inputs with zero probabilities."""
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -38,6 +37,8 @@ from qcorr.measures import (
 from qcorr.optimize import (
     OptimizerConfig,
     _lockstep_lbfgs,
+    _multistart,
+    isometry_from_params_vjp,
     multistart_minimize,
     n_isometry_params,
     params_from_isometry,
@@ -92,7 +93,7 @@ def mi_objective(rho, *sides, fixed=(None, None)):
 
 
 def holevo_objective(r4, side):
-    objective = _objective(partial(_holevo_value_grad, r4), (side,))
+    objective = _objective(lambda _owner, rows: _holevo_value_grad(r4, rows), (side,))
     objective.sides = (side,)
     return objective
 
@@ -214,6 +215,59 @@ def test_lockstep_start_is_the_same_alone_and_in_a_batch(d):
             x_alone, f_alone, _, _, _ = _lockstep_lbfgs(objective, x0[np.newaxis], cfg)
             assert abs(f_alone[0] - f[k]) <= 1e-12
             assert np.abs(x_alone[0] - x[k]).max() <= 1e-12
+
+    # two problems with 4 d^2 parameters each in one lockstep, the d x d
+    # record-mi search and a 2d-outcome Holevo search, each row evaluated by
+    # its own problem's objective: every row's x, f, nfev, nit and status is
+    # == its run without the other problem
+    problems = [cases[0][0], holevo_objective(_r4(rho), _Side(2 * d, d))]
+    starts = [np.array(cases[0][1]), as_rng([12, d]).standard_normal((4, 4 * d * d))]
+
+    def both(x, owner):
+        out = (np.empty(len(x)), np.empty_like(x), np.empty_like(x))
+        for k, objective in enumerate(problems):
+            mine = owner == k
+            if mine.any():
+                for whole, part in zip(out, objective(x[mine])):
+                    whole[mine] = part
+        return out
+
+    owner = np.repeat([0, 1], [len(s) for s in starts])
+    together = _lockstep_lbfgs(lambda x, live: both(x, owner[live]), np.concatenate(starts), cfg)
+    for k, (objective, x0) in enumerate(zip(problems, starts)):
+        alone = _lockstep_lbfgs(objective, x0, cfg)
+        for got, want in zip(together, alone):
+            assert np.array_equal(got[owner == k], want)
+
+    # the same through the driver, random starts included
+    def random_start(rng):
+        return rng.standard_normal(4 * d * d)
+
+    results = _multistart(both, [(x0, 2, random_start) for x0 in starts], cfg)
+    for res, objective, x0 in zip(results, problems, starts):
+        alone = multistart_minimize(objective, x0, 2, random_start, cfg)
+        assert res.value == alone.value and np.array_equal(res.params, alone.params)
+        assert (res.converged, res.n_starts, res.nfev, res.nit, res.status) == (
+            alone.converged, alone.n_starts, alone.nfev, alone.nit, alone.status)
+
+
+@pytest.mark.parametrize("da,db", [(3, 3), (3, 2)])
+def test_stacked_sides_equal_per_side_charts(da, db):
+    # _objective puts equal sides through one polar map and one pullback;
+    # that must give the bits of one chart per side
+    rng = as_rng([13, da, db])
+    rho = random_density_matrix(da, db, rng=rng)
+    sides = (_Side(da, da), _Side(db, db))
+    kernel = _mi_kernel(rho, (None, None))
+    x = rng.standard_normal((5, sum(side.n_params for side in sides)))
+    charts = [isometry_from_params_vjp(x[:, part], side.n_out, side.d)
+              for side, part in zip(sides, _param_slices(sides))]
+    value, *grads = kernel(None, *(w for w, _ in charts))
+    want = (-value,
+            -np.concatenate([pull(g) for (_, pull), g in zip(charts, grads)], axis=-1),
+            np.concatenate([params_from_isometry(w) for w, _ in charts], axis=-1))
+    for got, one_per_side in zip(_objective(kernel, sides)(x), want):
+        assert np.array_equal(got, one_per_side)
 
 
 @pytest.mark.parametrize("d", [3, 4])

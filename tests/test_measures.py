@@ -8,6 +8,7 @@ from qcorr.linalg import (
     UnsupportedDimensionError,
     as_rng,
     random_density_matrix,
+    swap_sides,
     tensor_product,
     von_neumann_entropy,
 )
@@ -16,6 +17,7 @@ from qcorr.measures import (
     Povm,
     ProjectiveBasis,
     _checked_tables,
+    _holevo_searches,
     classical_correlation_a,
     classical_mutual_info,
     conditional_states_b,
@@ -31,7 +33,7 @@ from qcorr.measures import (
     quantum_mutual_info,
 )
 from qcorr import measures
-from qcorr.optimize import OptimizerConfig, multistart_minimize
+from qcorr.optimize import OptimizerConfig, _multistart
 from qcorr.states import (
     bell_diagonal_state,
     classical_quantum_state,
@@ -252,9 +254,9 @@ def test_maximize_mi_povm_with_both_sides_fixed_evaluates_them(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return multistart_minimize(*args)
+        return _multistart(*args)
 
-    monkeypatch.setattr(measures, "multistart_minimize", counted)
+    monkeypatch.setattr(measures, "_multistart", counted)
     res = maximize_mi_povm(rho, 4, 3, LIGHT, fixed_a=fixed_a, fixed_b=fixed_b)
     assert not calls  # no search at all: there is no free side
     expected = classical_mutual_info(joint_distribution(rho, fixed_a, fixed_b))
@@ -270,11 +272,11 @@ def test_maximize_mi_povm_with_bob_fixed_searches_alice_alone(monkeypatch):
     values = []
 
     def recorded(*args):
-        res = multistart_minimize(*args)
+        [res] = _multistart(*args)
         values.append(-res.value)
-        return res
+        return [res]
 
-    monkeypatch.setattr(measures, "multistart_minimize", recorded)
+    monkeypatch.setattr(measures, "_multistart", recorded)
     res = maximize_mi_povm(rho, 4, 3, LIGHT, fixed_b=fixed_b)
     assert res.meas_b is fixed_b and res.meas_a.rows.shape == (4, 3)
     expected = classical_mutual_info(joint_distribution(rho, res.meas_a, fixed_b))
@@ -287,11 +289,11 @@ def test_one_sided_seeding_search_runs_each_free_basis_once(monkeypatch):
     starts = []
 
     def counted(*args):
-        res = multistart_minimize(*args)
+        [res] = _multistart(*args)
         starts.append(res.n_starts)
-        return res
+        return [res]
 
-    monkeypatch.setattr(measures, "multistart_minimize", counted)
+    monkeypatch.setattr(measures, "_multistart", counted)
     trine_povm_optimum(OptimizerConfig(restarts=8, seed=0))
     # Alice is fixed, so the seed pairs give Bob I, F, v_B, I, F: three distinct
     # bases plus eight random starts.  Bob's best basis is then the identity,
@@ -417,6 +419,44 @@ def test_full_report_runs_the_projective_search_once_with_povm(monkeypatch):
     rep = full_report(rho, LIGHT, povm_outcomes=(4, 4))
     assert len(calls) == 1
     assert rep.mi_povm == expected
+
+
+HOLEVO_PAIR_STATES = {
+    "2x2": lambda: random_density_matrix(2, 2, rng=as_rng(60)),
+    "3x3": lambda: random_density_matrix(3, 3, rng=as_rng(61)),
+    "4x4": lambda: random_density_matrix(4, 4, rng=as_rng(62)),
+    "bell": lambda: bell_diagonal_state([0.35, -0.2, 0.05]),
+    # U (x) U* invariant: the conditional entropy is flat, and every start
+    # stops at its first evaluation
+    "werner": lambda: werner_state(3, 0.55),
+    # unequal dimensions: the two searches differ in parameter count and
+    # run as two groups
+    "2x4": lambda: random_density_matrix(2, 4, rng=as_rng(63)),
+}
+
+
+@pytest.mark.parametrize("name", HOLEVO_PAIR_STATES)
+def test_holevo_pair_in_one_lockstep_equals_two_single_searches(name, monkeypatch):
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    rho = HOLEVO_PAIR_STATES[name]()
+    proj = maximize_mi_projective(rho, cfg)
+    ua, ub = proj.meas_a.rows.conj().T, proj.meas_b.rows.conj().T
+    singles = [classical_correlation_a(rho, cfg, extra_seeds=[ua]),
+               classical_correlation_a(swap_sides(rho), cfg, extra_seeds=[ub])]
+    locksteps = []
+
+    def counted(*args):
+        locksteps.append(args)
+        return _multistart(*args)
+
+    monkeypatch.setattr(measures, "_multistart", counted)
+    pair = _holevo_searches([rho, swap_sides(rho)], cfg, True, None, [[ua], [ub]])
+    assert len(locksteps) == (1 if rho.dim_a == rho.dim_b else 2)
+    for got, want in zip(pair, singles):
+        assert got.value == want.value
+        assert np.array_equal(got.meas_a.rows, want.meas_a.rows)
+        assert (got.n_starts, got.n_converged, got.converged) == (
+            want.n_starts, want.n_converged, want.converged)
 
 
 BELL_PAIR = bell_diagonal_state([-1, -1, -1])
