@@ -90,40 +90,61 @@ def _conditional_blocks(r4: np.ndarray, effects: np.ndarray) -> np.ndarray:
     return blocks.reshape(blocks.shape[:-1] + (db, db))
 
 
+def _block_table(blocks: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
+    """Unvalidated outcome tables p[..., i, s] = Tr[N_s m_i] of conditional
+    blocks m_i against Bob's effects N_s: one matmul over the flattened
+    (b, B), the leading axes of both stacks broadcasting."""
+    flat_t = effects_b.swapaxes(-2, -1).reshape(effects_b.shape[:-2] + (-1,))
+    return (blocks.reshape(blocks.shape[:-2] + (-1,)) @ flat_t.swapaxes(-2, -1)).real
+
+
 def _outcome_table(rho: DensityMatrix, effects_a: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
     """Unvalidated outcome tables p[..., i, s] = Tr[N_s m_i], m_i being the
     conditional blocks of Alice's effects M_i and N_s Bob's effects; leading
-    axes of Alice's effect stack are kept.  One side at a time: O(d^5), no
+    axes of the effect stacks are kept.  One side at a time: O(d^5), no
     Kronecker product."""
-    blocks = _conditional_blocks(_r4(rho), effects_a)
-    return np.einsum("sBb,...ibB->...is", effects_b, blocks).real
+    return _block_table(_conditional_blocks(_r4(rho), effects_a), effects_b)
 
 
-def _mi_value_grad(rho_mat: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
-    """Record mi of the rank-one measurements with rows <k_i| and <k_s|, and
-    its gradients with respect to both row matrices.  Leading axes of the
-    row stacks broadcast: (..., n, d) rows give (...,) values.
+def _rows_gradient(r4: np.ndarray, ls: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """2 Z_i^T <k_i| for Alice's rows <k_i| and blocks L_i on B, flattened
+    row-major to (..., n, db * db), with Z_i = Tr_B[rho (1 (x) L_i)]: the
+    gradient in the rows of sum_i Tr[L_i m_i] over the conditional blocks
+    m_i, for fixed L_i.  The back-contraction of _conditional_blocks, one
+    matmul on r4 as a matrix."""
+    # z[i, a, A] = sum_bB L_i[B, b] r4[a, b, A, B]
+    da, db = r4.shape[-4:-2]
+    # (a, b, A, B) -> (B, b, a, A)
+    r_adj = r4.swapaxes(-4, -1).swapaxes(-2, -1).reshape(r4.shape[:-4] + (db * db, da * da))
+    z = (ls @ r_adj).reshape(ls.shape[:-1] + (da, da))
+    return 2.0 * np.einsum("...iAa,...iA->...ia", z, rows)
 
-    With p_is = x_is rho x_is^H for x_is = <k_i| (x) <k_s|, the gradient of
-    I(p) in x_is is 2 g_is x_is rho, where g_is = dI/dp_is =
-    log2 p_is - log2 p_i. - log2 p_.s - 1/ln 2.  Zero entries contribute
+
+def _mi_value_grad(r4: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
+    """Record mi of the rank-one measurements with rows <k_i| and <l_s| on
+    the state r4, and its gradients with respect to both row matrices.
+    Leading axes of the row stacks broadcast: (..., n, d) rows give (...,)
+    values.  One side at a time, O(d^5): no product rows.
+
+    The table is p_is = Tr[N_s m_i], with m_i Alice's conditional blocks
+    and N_s = |l_s><l_s|.  With g_is = dI/dp_is = log2 p_is - log2 p_i. -
+    log2 p_.s - 1/ln 2, Bob's row s has gradient 2 <l_s| K_s for
+    K_s = sum_i g_is m_i, and Alice's rows that of sum_i Tr[L_i m_i] for
+    L_i = sum_s g_is N_s (_rows_gradient).  Zero entries contribute
     exactly zero to the value, as in _table_mi.
     """
-    na, da = rows_a.shape[-2:]
-    nb, db = rows_b.shape[-2:]
-    x = rows_a[..., :, np.newaxis, :, np.newaxis] * rows_b[..., np.newaxis, :, np.newaxis, :]
-    batch = x.shape[:-4]
-    x = x.reshape(batch + (na * nb, da * db))
-    xr = x @ rho_mat
-    t = np.maximum(np.einsum("...kb,...kb->...k", xr, x.conj()).real, 0.0).reshape(batch + (na, nb))
+    blocks = _conditional_blocks(r4, _rank_one_effects(rows_a))
+    effects_b = _rank_one_effects(rows_b)
+    t = np.maximum(_block_table(blocks, effects_b), 0.0)
     ta, tb = t.sum(axis=-1), t.sum(axis=-2)
     lt, la, lb = _log2_floored(t), _log2_floored(ta), _log2_floored(tb)
     value = (t * lt).sum(axis=(-2, -1)) - (ta * la).sum(axis=-1) - (tb * lb).sum(axis=-1)
     g = lt - la[..., :, np.newaxis] - lb[..., np.newaxis, :] - 1.0 / np.log(2.0)
-    gx = (2.0 * g.reshape(batch + (-1, 1)) * xr).reshape(batch + (na, nb, da, db))
-    grad_a = np.einsum("...isab,...sb->...ia", gx, rows_b.conj())
-    grad_b = np.einsum("...isab,...ia->...sb", gx, rows_a.conj())
-    return value, grad_a, grad_b
+    # L_i and K_s, each one matmul over the flattened blocks
+    ls = g @ effects_b.reshape(effects_b.shape[:-2] + (-1,))
+    ks = g.swapaxes(-2, -1) @ blocks.reshape(blocks.shape[:-2] + (-1,))
+    grad_b = 2.0 * (rows_b[..., np.newaxis, :] @ ks.reshape(ks.shape[:-1] + blocks.shape[-2:]))
+    return value, _rows_gradient(r4, ls, rows_a), grad_b[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -427,11 +448,13 @@ def _search(kernel: Callable, sides: tuple[_Side, ...], problem_seeds, cfg: Opti
 def _mi_kernel(rho: DensityMatrix, fixed: tuple[Povm | None, Povm | None]):
     """_mi_value_grad on the free parties' rows alone (fixed[k] is None),
     each fixed party's rows bound in: returns the value and the free
-    parties' rows gradients."""
+    parties' rows gradients.  rho's r4 is taken once, here."""
+    r4 = _r4(rho)
+
     def kernel(_owner, *free_rows):
         free = iter(free_rows)
         rows = [next(free) if f is None else f.rows for f in fixed]
-        value, *grads = _mi_value_grad(rho.mat, *rows)
+        value, *grads = _mi_value_grad(r4, *rows)
         return value, *(g for f, g in zip(fixed, grads) if f is None)
 
     return kernel
@@ -595,27 +618,18 @@ class HolevoSearchResult:
     n_converged: int
 
 
-def _neg_avg_conditional_entropy(r4: np.ndarray, effects: np.ndarray) -> float:
-    """-sum_i p_i S(rho_B|i), computed without normalizing each branch:
-    sum_i p_i S(m_i / p_i) = -sum xlog2x(eigs of m_i) + sum xlog2x(p_i).
-    The searches use _holevo_value_grad; this plain value path is what its
-    value is tested against."""
-    cond = _conditional_blocks(r4, effects)
-    probs = np.clip(np.einsum("ibb->i", cond).real, 0.0, None)
-    vals = np.clip(np.linalg.eigvalsh(cond), 0.0, None)
-    return float(xlog2x(vals).sum() - xlog2x(probs).sum())
-
-
 def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
-    """_neg_avg_conditional_entropy for the rank-one effects with rows <k_i|,
-    and its gradient with respect to the rows; stacked rows (..., n, d) give
-    (...,) values.  r4 is one state, or a stack of states (..., da, db, da,
-    db) with one state per row stack.
+    """-sum_i p_i S(rho_B|i) for the rank-one effects with rows <k_i|, and its
+    gradient with respect to the rows; stacked rows (..., n, d) give (...,)
+    values.  r4 is one state, or a stack of states (..., da, db, da, db)
+    with one state per row stack.  No branch is normalized:
+    sum_i p_i S(m_i / p_i) = -sum xlog2x(eigs of m_i) + sum xlog2x(p_i).
 
     On each unnormalized conditional block m_i the derivative is
     L_i = log2 m_i - log2(p_i) 1 (the entropy of p_i m_i / p_i gives
     -log2 m_i, the p_i log p_i term the rest).  With
-    Z_i = Tr_B[rho (1 (x) L_i)], row i's gradient is 2 Z_i^T <k_i|.
+    Z_i = Tr_B[rho (1 (x) L_i)], row i's gradient is 2 Z_i^T <k_i|
+    (_rows_gradient).
     """
     cond = _conditional_blocks(r4, _rank_one_effects(rows))
     probs = np.maximum(np.einsum("...ibb->...i", cond).real, 0.0)
@@ -624,12 +638,7 @@ def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
     lv, lp = _log2_floored(vals), _log2_floored(probs)
     value = (vals * lv).sum(axis=(-2, -1)) - (probs * lp).sum(axis=-1)
     logm = (vecs * (lv - lp[..., np.newaxis])[..., np.newaxis, :]) @ adjoint(vecs)
-    # z[i, a, A] = sum_bB L_i[B, b] r4[a, b, A, B]: one matmul, as in _conditional_blocks
-    da, db = r4.shape[-4:-2]
-    # (a, b, A, B) -> (B, b, a, A)
-    r_adj = r4.swapaxes(-4, -1).swapaxes(-2, -1).reshape(r4.shape[:-4] + (db * db, da * da))
-    z = (logm.reshape(logm.shape[:-2] + (db * db,)) @ r_adj).reshape(logm.shape[:-2] + (da, da))
-    return value, 2.0 * np.einsum("...iAa,...iA->...ia", z, rows)
+    return value, _rows_gradient(r4, logm.reshape(logm.shape[:-2] + (-1,)), rows)
 
 
 def classical_correlation_a(
@@ -643,10 +652,14 @@ def classical_correlation_a(
 
     Projective search runs over Alice's bases; with projective_only=False a
     rank-one POVM with n_out outcomes (default dim_a**2) is optimized
-    instead.  Heuristic lower bound, exact at the returned measurement.
-    extra_seeds takes basis unitaries to refine from, e.g. the mi-optimal
-    Alice basis.  full_report runs this search on rho and on its swap in
-    one lockstep (_holevo_searches), with results == these calls.
+    instead.  A projective search has dim_a outcomes, and any other n_out
+    with projective_only=True raises ValueError.  Heuristic lower bound,
+    exact at the returned measurement.  The two searches are not ordered:
+    the POVM search is not seeded from the projective winner, and at the
+    default stop it can end below it, by up to about 1e-10 bits on 2 x 8
+    states.  extra_seeds takes basis unitaries to refine from, e.g. the
+    mi-optimal Alice basis.  full_report runs this search on rho and on its
+    swap in one lockstep (_holevo_searches), with results == these calls.
     """
     return _holevo_searches([rho], cfg or OptimizerConfig(), projective_only, n_out,
                             [extra_seeds or []])[0]
@@ -667,9 +680,9 @@ def _holevo_searches(states: list[DensityMatrix], cfg: OptimizerConfig, projecti
         groups[rho.dim_a, rho.dim_b].append(k)
     results = [None] * len(states)
     for (da, _), group in groups.items():
-        n = da if projective_only else da * da if n_out is None else n_out
-        if n < da:
-            raise ValueError(f"n_out must be >= {da}, got {n}")
+        n = (da if projective_only else da * da) if n_out is None else n_out
+        if n < da or projective_only and n != da:
+            raise ValueError(f"n_out must be >= {da}, and {da} in a projective search, got {n}")
         problem_seeds = []
         for k in group:
             _, va = hermitian_eigen(marginal_mats(states[k])[0])

@@ -13,15 +13,16 @@ from qcorr.linalg import (
     random_density_matrix,
     random_unitary,
     swap_sides,
+    xlog2x,
 )
 from qcorr.measures import (
     Povm,
     ProjectiveBasis,
+    _conditional_blocks,
     _embed_basis,
     _holevo_value_grad,
     _mi_kernel,
     _mi_value_grad,
-    _neg_avg_conditional_entropy,
     _objective,
     _outcome_table,
     _param_slices,
@@ -98,24 +99,55 @@ def holevo_objective(r4, side):
     return objective
 
 
+def _neg_avg_conditional_entropy(r4: np.ndarray, effects: np.ndarray) -> float:
+    """-sum_i p_i S(rho_B|i), computed without normalizing each branch:
+    sum_i p_i S(m_i / p_i) = -sum xlog2x(eigs of m_i) + sum xlog2x(p_i).
+    The plain value path that the Holevo kernel's value is tested against."""
+    cond = _conditional_blocks(r4, effects)
+    probs = np.clip(np.einsum("ibb->i", cond).real, 0.0, None)
+    vals = np.clip(np.linalg.eigvalsh(cond), 0.0, None)
+    return float(xlog2x(vals).sum() - xlog2x(probs).sum())
+
+
 def random_params(d, rng):
     return rng.uniform(0, 2 * np.pi, n_isometry_params(d, d))
 
 
-@pytest.mark.parametrize("da,db", SHAPES)
+@pytest.mark.parametrize("da,db", SHAPES + [(4, 5)])
 def test_mi_kernel_value_matches_table_paths(da, db):
     rng = as_rng([1, da, db])
     rho = random_density_matrix(da, db, rng=rng)
+    r4 = _r4(rho)
     ua, ub = random_unitary(da, rng), random_unitary(db, rng)
-    value = _mi_value_grad(rho.mat, ua.conj().T, ub.conj().T)[0]
+    value = _mi_value_grad(r4, ua.conj().T, ub.conj().T)[0]
     reference = _table_mi(_outcome_table(rho, _rank_one_effects(ua.conj().T),
                                            _rank_one_effects(ub.conj().T)))
     assert value == pytest.approx(reference, abs=1e-12)
     ra = Povm.random_rank_one(da, da + 2, rng).rows
     rb = Povm.random_rank_one(db, db + 1, rng).rows
-    value = _mi_value_grad(rho.mat, ra, rb)[0]
+    value = _mi_value_grad(r4, ra, rb)[0]
     table = _outcome_table(rho, _rank_one_effects(ra), _rank_one_effects(rb))
     assert value == pytest.approx(_table_mi(table), abs=1e-12)
+
+    # stacked rows with leading axes: Alice's (2, 3) stack against Bob's (3,)
+    # stack and against one row matrix, and one Alice row matrix against
+    # Bob's stack; every entry equals its evaluation alone
+    stack_a = np.array([[Povm.random_rank_one(da, da + 2, rng).rows for _ in range(3)]
+                        for _ in range(2)])
+    stack_b = np.array([Povm.random_rank_one(db, db + 1, rng).rows for _ in range(3)])
+    for rows_a, rows_b, lead in ((stack_a, stack_b, (2, 3)), (stack_a, rb, (2, 3)),
+                                 (ra, stack_b, (3,))):
+        value, grad_a, grad_b = _mi_value_grad(r4, rows_a, rows_b)
+        assert value.shape == lead
+        assert grad_a.shape == lead + ra.shape and grad_b.shape == lead + rb.shape
+        tables = _outcome_table(rho, _rank_one_effects(rows_a), _rank_one_effects(rows_b))
+        assert np.abs(value - _table_mi(tables)).max() <= 1e-12
+        for k in np.ndindex(lead):
+            one_a = rows_a[k] if rows_a.ndim > 2 else rows_a
+            one_b = rows_b[k[-1]] if rows_b.ndim > 2 else rows_b
+            alone = _mi_value_grad(r4, one_a, one_b)
+            for stacked, single in zip((value[k], grad_a[k], grad_b[k]), alone):
+                assert np.abs(stacked - single).max() <= 1e-12
 
 
 @pytest.mark.parametrize("da,db", SHAPES)
@@ -141,7 +173,7 @@ def test_projective_mi_gradient(da, db):
     ])
 
 
-@pytest.mark.parametrize("da,db", SHAPES)
+@pytest.mark.parametrize("da,db", SHAPES + [(4, 5)])
 def test_povm_mi_gradient_free_and_fixed_sides(da, db):
     rng = as_rng([4, da, db])
     rho = random_density_matrix(da, db, rng=rng)

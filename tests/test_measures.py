@@ -475,6 +475,7 @@ MIXED_EFFECTS = Povm(effects=np.stack([np.eye(2) / 2, np.eye(2) / 2]))
      ValueError),
     (lambda: classical_correlation_a(BELL_PAIR, projective_only=False, n_out=1), ValueError),
     (lambda: classical_correlation_a(BELL_PAIR, projective_only=False, n_out=0), ValueError),
+    (lambda: classical_correlation_a(BELL_PAIR, n_out=7), ValueError),
     (lambda: conditional_states_b(BELL_PAIR, ProjectiveBasis.computational(3)),
      DimensionMismatchError),
     (lambda: maximize_mi_povm(BELL_PAIR, 3, 3, fixed_a=Povm.random_rank_one(3, 3, rng=0)),
@@ -488,7 +489,7 @@ MIXED_EFFECTS = Povm(effects=np.stack([np.eye(2) / 2, np.eye(2) / 2]))
      DimensionMismatchError),
 ], ids=["effects-2d", "too-few-rank-one-outcomes", "povm-a-outcomes", "povm-b-outcomes",
         "fixed-without-rows", "fixed-a-outcomes", "fixed-b-outcomes", "holevo-povm-outcomes",
-        "holevo-povm-zero-outcomes",
+        "holevo-povm-zero-outcomes", "holevo-projective-outcomes",
         "conditional-dimension", "fixed-a-dimension", "fixed-b-dimension",
         "projective-seed-shape", "holevo-seed-shape", "holevo-povm-seed-shape"])
 def test_input_checks_raise_their_documented_errors(call, error):

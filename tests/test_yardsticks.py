@@ -7,11 +7,23 @@ rotation takes the structured seeds (identity, Fourier, marginal
 eigenbases) off the optimum: the search itself has to find it.  The state
 with dimension index d and case k is rotated by random_unitary(d_A, s) (x)
 random_unitary(d_B, s + 1000) with s = 10 d + k.
+
+Rank-2 states on a qubit and d_B levels need no rotation: their Holevo-type
+classical correlation with the measurement on B has a closed form for every
+d_B (Koashi & Winter), which no structured seed reaches by itself.
 """
 import numpy as np
 import pytest
 
-from qcorr.linalg import DensityMatrix, as_rng, random_unitary
+from qcorr.linalg import (
+    DensityMatrix,
+    as_rng,
+    marginal_mats,
+    random_density_matrix,
+    random_unitary,
+    swap_sides,
+    von_neumann_entropy,
+)
 from qcorr.measures import classical_correlation_a, maximize_mi_projective
 from qcorr.optimize import OptimizerConfig
 from qcorr.states import bell_diagonal_state, locking_state, werner_analytics, werner_state
@@ -62,3 +74,69 @@ def test_rotated_bell_diagonal_classical_correlation_matches_luo(k):
     exact = 0.5 * ((1 - c) * np.log2(1 - c) + (1 + c) * np.log2(1 + c))
     value = classical_correlation_a(rotated(bell_diagonal_state(r), 2, k), CFG).value
     assert abs(value - exact) <= 1e-10
+
+
+SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def binary_entropy(p):
+    return -sum(x * np.log2(x) for x in (p, 1 - p) if x > 0)
+
+
+def formation_entropy(concurrence):
+    # Wootters, PRL 80, 2245 (1998): E = h((1 + sqrt(1 - C^2)) / 2)
+    return binary_entropy((1 + np.sqrt(max(1 - concurrence ** 2, 0.0))) / 2)
+
+
+def purification_columns(rho):
+    """V[(a, c), b] = <a b c|Psi> for a purification |Psi> of a rank-2 state
+    on a qubit A and d_B levels, with C a qubit: V V^H = rho_AC."""
+    vals, vecs = np.linalg.eigh(rho.mat)
+    psi = vecs[:, -2:] * np.sqrt(np.clip(vals[-2:], 0, None))  # psi[(a, b), c]
+    return psi.reshape(2, rho.dim_b, 2).transpose(0, 2, 1).reshape(4, rho.dim_b)
+
+
+def koashi_winter_classical_correlation(rho):
+    """J(A|B) with any measurement on B, from Koashi & Winter (PRA 69,
+    022309, 2004): S(A) - E_f(rho_AC) for a purification on ABC.  Wootters'
+    lambda_i are the singular values of tau = V^H (sigma_y (x) sigma_y) V^*
+    for any V with V V^H = rho_AC, here the purification's own columns:
+    square roots of the eigenvalues of rho_AC rho~_AC would turn rho_AC's
+    round-off null eigenvalues (1e-17) into 3e-9 in the concurrence."""
+    v = purification_columns(rho)
+    lam = np.linalg.svd(v.conj().T @ SIGMA_YY @ v.conj(), compute_uv=False)
+    lam = np.pad(lam, (0, 4))[:4]
+    concurrence = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    return von_neumann_entropy(marginal_mats(rho)[0]) - formation_entropy(concurrence), concurrence
+
+
+KW_STATES = [(d_b, r) for d_b in (2, 3, 4) for r in range(3)]
+
+
+@pytest.mark.parametrize("d_b,r", KW_STATES)
+def test_holevo_searches_reach_the_koashi_winter_value(d_b, r):
+    rho = random_density_matrix(2, d_b, rank=2, rng=200 + 10 * d_b + r)
+    exact, _ = koashi_winter_classical_correlation(rho)
+    swapped = swap_sides(rho)  # the searches measure the first party, here B
+    for projective_only in (True, False):
+        value = classical_correlation_a(swapped, CFG, projective_only=projective_only).value
+        assert abs(value - exact) <= 2e-10, (projective_only, value - exact)
+
+
+@pytest.mark.parametrize("r", range(3))
+def test_koashi_winter_concurrence_matches_the_winners_decomposition(r):
+    # B's outcome s steers AC into chi_s = <k_s|_B |Psi>, a decomposition of
+    # rho_AC whose concurrences sum to sum_s |chi_s^T (sigma_y (x)
+    # sigma_y) chi_s|; at the optimum that sum is Wootters' C, and the
+    # branch entropies E(C_s) give back the search value
+    rho = random_density_matrix(2, 2, rank=2, rng=220 + r)
+    exact, concurrence = koashi_winter_classical_correlation(rho)
+    res = classical_correlation_a(swap_sides(rho), CFG)
+    chi = res.meas_a.rows @ purification_columns(rho).T  # chi[s, (a, c)]
+    probs = np.einsum("sk,sk->s", chi.conj(), chi).real
+    branch = np.abs(np.einsum("sk,kl,sl->s", chi, SIGMA_YY, chi))
+    assert abs(branch.sum() - concurrence) <= 1e-12
+    entropy_a = von_neumann_entropy(marginal_mats(rho)[0])
+    induced = entropy_a - sum(p * formation_entropy(c / p) for p, c in zip(probs, branch))
+    assert abs(induced - res.value) <= 1e-12
+    assert abs(res.value - exact) <= 2e-10
