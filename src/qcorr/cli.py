@@ -6,8 +6,16 @@ randomness is seeded (default 0), so identical command lines produce
 byte-identical output.  Data goes to --out or stdout; summaries and
 diagnostics go to stderr.
 
-Exit codes: 0 success, 1 file or parse error, 2 invalid state,
-3 unsupported dimension, 4 campaign violation.
+Exit codes: 0 success, 1 file or parse error, 2 invalid state or
+usage error, 3 unsupported dimension, 4 campaign violation.  A --dims,
+--samples or --alpha-steps value below 1 is a usage error.
+
+Every campaign kind runs through one runner: it writes the CSV, prints an
+"N rows, K ok, V violations" summary to stderr and one replay line per
+failing sample, and exits 4 if any sample fails.  A replay line names the
+failing sample; bounds numbers its samples from 0 in each dimension, so
+its lines name the dimension too: "violation in sample 3 of d = 5: replay
+with --seed 0".
 """
 from __future__ import annotations
 
@@ -75,6 +83,8 @@ def _dims_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if not dims:
         raise argparse.ArgumentTypeError("empty dimension list")
+    if min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive dimension, got {min(dims)}")
     return dims
 
 
@@ -112,18 +122,19 @@ def cmd_dqc1_scan(args) -> int:
     return 0
 
 
-def _campaign_prop1(args) -> tuple[str, list[int]]:
-    dims = args.dims or [2, 3]
-    header = [
-        "sample", "dim_a", "dim_b", "outcomes_a", "outcomes_b",
-        "record_mi", "entropy_a", "entropy_b", "quantum_mi", "ok",
-    ]
-    rows, bad = [], []
+def _random_state(seed: int, dims: list[int], k: int):
+    """Sample k's generator and state: d_A and d_B drawn from the pool, then
+    the state, all from as_rng([seed, k])."""
+    rng = as_rng([seed, k])
+    d_a = int(rng.choice(dims))
+    d_b = int(rng.choice(dims))
+    return rng, random_density_matrix(d_a, d_b, rng=rng)
+
+
+def _prop1_rows(args, dims):
     for k in range(args.samples):
-        rng = as_rng([args.seed, k])
-        d_a = int(rng.choice(dims))
-        d_b = int(rng.choice(dims))
-        rho = random_density_matrix(d_a, d_b, rng=rng)
+        rng, rho = _random_state(args.seed, dims, k)
+        d_a, d_b = rho.dim_a, rho.dim_b
         n_a = int(rng.integers(d_a, d_a**2 + 1))
         n_b = int(rng.integers(d_b, d_b**2 + 1))
         meas_a = Povm.random_rank_one(d_a, n_a, rng)
@@ -133,80 +144,73 @@ def _campaign_prop1(args) -> tuple[str, list[int]]:
         # the same sum as quantum_mutual_info, without recomputing S_A and S_B
         smut = s_a + s_b - von_neumann_entropy(rho.mat)
         ok = record <= min(s_a, s_b, smut) + PROP1_SLACK
-        if not ok:
-            bad.append(k)
-        rows.append([k, d_a, d_b, n_a, n_b, record, s_a, s_b, smut, ok])
-    return _csv(header, rows), bad
+        yield f"sample {k}", [k, d_a, d_b, n_a, n_b, record, s_a, s_b, smut, ok]
 
 
-def _campaign_bounds(args) -> tuple[str, list[int]]:
-    dims = args.dims or [2, 3, 5]
-    header = [
-        "d", "sample", "i_total", "max_pair_sum", "two_basis", "total_refined",
-        "total_half", "purity", "state_independent", "strict_cap", "ok",
-    ]
-    rows, bad = [], []
+def _bounds_rows(args, dims):
     for d in dims:
         fam = mub_family(d, d + 1)
         for k in range(args.samples):
             rng = as_rng([args.seed, d, k])
             rho = random_density_matrix(d, d, rng=rng)
             n_b = int(rng.integers(d, d**2 + 1))
-            bob = Povm.random_rank_one(d, n_b, rng)
-            rep = mub_information_report(rho, fam, bob)
-            ok = all(rep.satisfied.values())
-            if not ok:
-                bad.append(k)
+            rep = mub_information_report(rho, fam, Povm.random_rank_one(d, n_b, rng))
             b = rep.bounds
-            rows.append([
+            yield f"sample {k} of d = {d}", [
                 d, k, rep.i_total, rep.max_pair_sum, b["two_basis"], b["total_refined"],
-                b["total_half"], b["purity"], b["state_independent"], b["strict_cap"], ok,
-            ])
-    return _csv(header, rows), bad
+                b["total_half"], b["purity"], b["state_independent"], b["strict_cap"],
+                all(rep.satisfied.values()),
+            ]
 
 
-def _campaign_qvsdiscord(args) -> tuple[str, list[int]]:
-    dims = args.dims or [2, 3]
+def _qvsdiscord_rows(args, dims):
     cfg = _config_from(args)
-    header = [
-        "sample", "dim_a", "dim_b", "quantum_mi", "record_mi", "nonclassicality",
-        "classical_corr_a", "discord_a", "eigenbasis_mi", "disturbance", "ok",
-    ]
-    rows, bad = [], []
     for k in range(args.samples):
-        rng = as_rng([args.seed, k])
-        d_a = int(rng.choice(dims))
-        d_b = int(rng.choice(dims))
-        rho = random_density_matrix(d_a, d_b, rng=rng)
+        _, rho = _random_state(args.seed, dims, k)
         rep = full_report(rho, cfg)
         ok = (
             rep.nonclassicality >= rep.discord_a - DISCORD_SLACK
             and rep.disturbance >= rep.nonclassicality - DISCORD_SLACK
         )
-        if not ok:
-            bad.append(k)
-        rows.append([
-            k, d_a, d_b, rep.quantum_mi, rep.mi_projective, rep.nonclassicality,
+        yield f"sample {k}", [
+            k, rho.dim_a, rho.dim_b, rep.quantum_mi, rep.mi_projective, rep.nonclassicality,
             rep.classical_corr_a, rep.discord_a, rep.eigenbasis_mi, rep.disturbance, ok,
-        ])
-    return _csv(header, rows), bad
+        ]
+
+
+# kind -> (CSV header, default dimension pool, row builder); a builder
+# yields (sample name, row) pairs with the ok flag last in the row
+_CAMPAIGNS = {
+    "prop1": (
+        ["sample", "dim_a", "dim_b", "outcomes_a", "outcomes_b",
+         "record_mi", "entropy_a", "entropy_b", "quantum_mi", "ok"],
+        [2, 3], _prop1_rows,
+    ),
+    "bounds": (
+        ["d", "sample", "i_total", "max_pair_sum", "two_basis", "total_refined",
+         "total_half", "purity", "state_independent", "strict_cap", "ok"],
+        [2, 3, 5], _bounds_rows,
+    ),
+    "qvsdiscord": (
+        ["sample", "dim_a", "dim_b", "quantum_mi", "record_mi", "nonclassicality",
+         "classical_corr_a", "discord_a", "eigenbasis_mi", "disturbance", "ok"],
+        [2, 3], _qvsdiscord_rows,
+    ),
+}
 
 
 def cmd_campaign(args) -> int:
-    runner = {
-        "prop1": _campaign_prop1,
-        "bounds": _campaign_bounds,
-        "qvsdiscord": _campaign_qvsdiscord,
-    }[args.kind]
-    text, bad = runner(args)
-    _emit(text, args.out)
-    total = text.count("\n") - 1
+    header, default_dims, build = _CAMPAIGNS[args.kind]
+    named = list(build(args, args.dims or default_dims))
+    bad = [name for name, row in named if not row[-1]]
+    _emit(_csv(header, [row for _, row in named]), args.out)
+    total = len(named)
     print(
         f"{args.kind}: {total} rows, {total - len(bad)} ok, {len(bad)} violations",
         file=sys.stderr,
     )
-    for k in bad:
-        print(f"violation in sample {k}: replay with --seed {args.seed}", file=sys.stderr)
+    for name in bad:
+        print(f"violation in {name}: replay with --seed {args.seed}", file=sys.stderr)
     return 4 if bad else 0
 
 
@@ -267,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_werner_scan)
 
     p = sub.add_parser("dqc1-scan", help="polarization scan of the one-clean-qubit model (CSV)")
-    p.add_argument("--dims", type=int, default=10, help="work-register qubit count")
+    p.add_argument("--dims", type=_positive_int, default=10, help="work-register qubit count")
     p.add_argument("--alpha-steps", type=_positive_int, default=101)
     p.add_argument("--phase-model", choices=["uniform", "haar"], default="uniform")
     _add_common(p)
     p.set_defaults(func=cmd_dqc1_scan)
 
     p = sub.add_parser("campaign", help="randomized property campaign (CSV + stderr summary)")
-    p.add_argument("kind", choices=["prop1", "bounds", "qvsdiscord"])
+    p.add_argument("kind", choices=_CAMPAIGNS)
     p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--dims", type=_dims_list, default=None, help="comma-separated dimension pool")
     _add_common(p)
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lock-demo", help="one-bit unlock protocol report (JSON)")
     p.add_argument("variant", nargs="?", choices=["locking", "sigma"], default="locking")
-    p.add_argument("--dims", type=int, default=2, help="value-register dimension d")
+    p.add_argument("--dims", type=_positive_int, default=2, help="value-register dimension d")
     _add_common(p)
     _add_search_flags(p)
     p.set_defaults(func=cmd_lock_demo)

@@ -17,6 +17,7 @@ from itertools import accumulate, groupby, product
 import numpy as np
 
 from .linalg import (
+    HERM_TOL,
     PSD_TOL,
     DensityMatrix,
     DimensionMismatchError,
@@ -182,8 +183,10 @@ class Povm:
 
     rows holds <k_s| for rank-one measurements (one row per outcome) and is
     None otherwise.  Given rows alone, the effects |k_s><k_s| are built
-    from them, positive by construction; given both, rows must be
-    (n_out, d) and give the effects to within the identity-sum tolerance.
+    from them, positive by construction.  Given effects, each must be
+    Hermitian to within HERM_TOL and positive semidefinite; given both,
+    rows must be (n_out, d) and give the effects to within the identity-sum
+    tolerance.
     """
 
     effects: np.ndarray | None = None
@@ -199,6 +202,10 @@ class Povm:
             e = np.array(self.effects, dtype=np.complex128)
             if e.ndim != 3 or e.shape[1] != e.shape[2]:
                 raise ValueError(f"effects must be (n, d, d), got {e.shape}")
+            # eigvalsh reads one triangle, so Hermiticity is checked first
+            defect = np.abs(e - e.conj().swapaxes(1, 2)).max(initial=0.0)
+            if defect > HERM_TOL:
+                raise InvalidStateError(f"effect not Hermitian: max |E - E^dag| = {defect:.3e}")
             low = np.linalg.eigvalsh(e)[:, 0].min(initial=0.0)
             if low < -1e-10:
                 raise InvalidStateError(f"effect has negative eigenvalue {low:.3e}")

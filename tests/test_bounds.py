@@ -37,7 +37,7 @@ def test_mub_family_is_pairwise_unbiased(d, count):
             np.testing.assert_allclose(overlap, 1 / d, atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [4, 6, 9, 15])
+@pytest.mark.parametrize("d", [1, 4, 6, 9, 15])
 def test_mub_family_rejects_unsupported_dimensions(d):
     with pytest.raises(UnsupportedDimensionError):
         mub_family(d, 2)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qcorr import bounds, cli
 from qcorr.dqc1 import MAX_HAAR_N, MAX_SCAN_N
 from qcorr.linalg import as_rng, random_density_matrix, save_state
 from qcorr.states import bell_diagonal_state
@@ -155,6 +156,48 @@ def test_campaign_rejects_nonpositive_samples(samples):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "--samples: expected a positive integer" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["dqc1-scan", "--alpha-steps", "2"],
+    ["lock-demo"],
+    ["werner-scan", "--alpha-steps", "2"],
+    ["campaign", "prop1", "--samples", "1"],
+    ["campaign", "bounds", "--samples", "1"],
+], ids=["dqc1-scan", "lock-demo", "werner-scan", "prop1", "bounds"])
+@pytest.mark.parametrize("dims", ["0", "-2"])
+def test_dims_below_one_is_a_usage_error(args, dims):
+    # a list entry below one is rejected like a lone value
+    value = dims if args[0] in ("dqc1-scan", "lock-demo") else f"2,{dims}"
+    proc = run_cli(*args, "--dims", value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--dims: expected a positive" in proc.stderr
+
+
+@pytest.mark.parametrize("kind,args,names", [
+    ("prop1", ["--samples", "3", "--dims", "2"], ["sample 0", "sample 1", "sample 2"]),
+    ("bounds", ["--samples", "2", "--dims", "2,3"],
+     ["sample 0 of d = 2", "sample 1 of d = 2", "sample 0 of d = 3", "sample 1 of d = 3"]),
+    ("qvsdiscord", ["--samples", "2", "--dims", "2", "--restarts", "1"], ["sample 0", "sample 1"]),
+], ids=["prop1", "bounds", "qvsdiscord"])
+def test_campaign_violations_exit_4_with_one_replay_line_per_sample(
+        monkeypatch, capsys, kind, args, names):
+    # slacks far below zero make every sample of every kind fail its check
+    monkeypatch.setattr(cli, "PROP1_SLACK", -10.0)
+    monkeypatch.setattr(cli, "DISCORD_SLACK", -10.0)
+    monkeypatch.setattr(bounds, "BOUND_SLACK", -10.0)
+    assert cli.main(["campaign", kind, *args, "--seed", "5"]) == 4
+    out, err = capsys.readouterr()
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == len(names)
+    assert all(row.split(",")[-1] == "0" for row in rows)
+    n = len(names)
+    assert err.split("\n") == [
+        f"{kind}: {n} rows, 0 ok, {n} violations",
+        *(f"violation in {name}: replay with --seed 5" for name in names),
+        "",
+    ]
 
 
 def test_campaign_bounds_covers_requested_dimensions():

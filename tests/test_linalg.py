@@ -248,7 +248,9 @@ SINGLET_STATE = DensityMatrix(SINGLET, 2, 2)
     (lambda: hermitian_eigen(np.array([[1.0, 1.0], [0.0, 1.0]])), InvalidStateError),
     (lambda: random_density_matrix(2, 2, rank=0), DimensionMismatchError),
     (lambda: von_neumann_entropy(np.diag([1.2, -0.2])), InvalidStateError),
-], ids=["non-finite", "zero-dimension", "keep-C", "non-hermitian", "rank-0", "negative-eigenvalue"])
+    (lambda: von_neumann_entropy(np.diag([0.5, 0.2])), InvalidStateError),
+], ids=["non-finite", "zero-dimension", "keep-C", "non-hermitian", "rank-0", "negative-eigenvalue",
+        "trace"])
 def test_input_checks_raise_their_documented_errors(call, error):
     with pytest.raises(error):
         call()

@@ -465,6 +465,8 @@ MIXED_EFFECTS = Povm(effects=np.stack([np.eye(2) / 2, np.eye(2) / 2]))
 
 @pytest.mark.parametrize("call,error", [
     (lambda: Povm(effects=np.ones((2, 2))), ValueError),
+    # eigvalsh alone would read these as PSD effects that sum to the identity
+    (lambda: Povm(effects=[[[1, 0.4], [0, 0]], [[0, -0.4], [0, 1]]]), InvalidStateError),
     (lambda: Povm.random_rank_one(3, 2), ValueError),
     (lambda: maximize_mi_povm(BELL_PAIR, 1, 3), ValueError),
     (lambda: maximize_mi_povm(BELL_PAIR, 3, 1), ValueError),
@@ -487,8 +489,8 @@ MIXED_EFFECTS = Povm(effects=np.stack([np.eye(2) / 2, np.eye(2) / 2]))
     (lambda: classical_correlation_a(BELL_PAIR, extra_seeds=[np.eye(3)]), DimensionMismatchError),
     (lambda: classical_correlation_a(BELL_PAIR, projective_only=False, extra_seeds=[np.eye(3)]),
      DimensionMismatchError),
-], ids=["effects-2d", "too-few-rank-one-outcomes", "povm-a-outcomes", "povm-b-outcomes",
-        "fixed-without-rows", "fixed-a-outcomes", "fixed-b-outcomes", "holevo-povm-outcomes",
+], ids=["effects-2d", "non-hermitian-effects", "too-few-rank-one-outcomes", "povm-a-outcomes",
+        "povm-b-outcomes", "fixed-without-rows", "fixed-a-outcomes", "fixed-b-outcomes", "holevo-povm-outcomes",
         "holevo-povm-zero-outcomes", "holevo-projective-outcomes",
         "conditional-dimension", "fixed-a-dimension", "fixed-b-dimension",
         "projective-seed-shape", "holevo-seed-shape", "holevo-povm-seed-shape"])

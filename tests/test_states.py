@@ -258,8 +258,13 @@ def test_biorthogonal_state_is_purely_classical():
     (lambda: locking_demo(2, variant="x"), ValueError),
     (lambda: classical_quantum_state([0.5, 0.5], [np.eye(2) / 2]), DimensionMismatchError),
     (lambda: biorthogonal_state(np.ones(4) / 4), DimensionMismatchError),
+    (lambda: classical_quantum_state([0.5, 0.5], [np.eye(2) / 2] * 2, basis=np.eye(3)),
+     DimensionMismatchError),
+    (lambda: werner_analytics(1, 0.5), DimensionMismatchError),
+    (lambda: locking_state(2, u1=np.eye(3)), DimensionMismatchError),
 ], ids=["tensor-2x2", "werner-d1", "werner-alpha", "locking-d1", "sigma-d1", "locking-u1",
-        "demo-variant", "cq-count", "biorthogonal-1d"])
+        "demo-variant", "cq-count", "biorthogonal-1d", "cq-basis-shape", "werner-analytics-d1",
+        "locking-u1-shape"])
 def test_input_checks_raise_their_documented_errors(call, error):
     with pytest.raises(error):
         call()
