@@ -8,7 +8,9 @@ diagnostics go to stderr.
 
 Exit codes: 0 success, 1 file or parse error, 2 invalid state or
 usage error, 3 unsupported dimension, 4 campaign violation.  A --dims,
---samples or --alpha-steps value below 1 is a usage error.
+--samples or --alpha-steps value below 1 is a usage error, and so are the
+search overrides out of range: --restarts below 0, --iters below 1 and a
+--tol that is not a positive finite number.
 
 Every campaign kind runs through one runner: it writes the CSV, prints an
 "N rows, K ok, V violations" summary to stderr and one replay line per
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -88,13 +91,31 @@ def _dims_list(text: str) -> list[int]:
     return dims
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected {what} integer, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "a positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0, "a non-negative")
+
+
+def _positive_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
@@ -246,9 +267,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     """Optimizer overrides, for the subcommands that run a search."""
     cfg = OptimizerConfig()
-    p.add_argument("--restarts", type=int, default=cfg.restarts, help="random search restarts")
-    p.add_argument("--iters", type=int, default=cfg.max_iters, help="L-BFGS step cap per start")
-    p.add_argument("--tol", type=float, default=cfg.tolerance, help="L-BFGS gradient tolerance")
+    p.add_argument("--restarts", type=_nonnegative_int, default=cfg.restarts,
+                   help="random search restarts")
+    p.add_argument("--iters", type=_positive_int, default=cfg.max_iters,
+                   help="L-BFGS step cap per start")
+    p.add_argument("--tol", type=_positive_finite, default=cfg.tolerance,
+                   help="L-BFGS gradient tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:

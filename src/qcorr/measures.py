@@ -13,6 +13,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from itertools import accumulate, groupby, product
+from math import isqrt
 
 import numpy as np
 
@@ -77,17 +78,33 @@ def _rank_one_effects(rows: np.ndarray) -> np.ndarray:
     return np.einsum("...sa,...sb->...sab", rows.conj(), rows)
 
 
-def _conditional_blocks(r4: np.ndarray, effects: np.ndarray) -> np.ndarray:
+def _block_matrix(r4: np.ndarray) -> np.ndarray:
+    """r4 (..., da, db, da, db) as the matrix (A a, b B) that
+    _conditional_blocks takes, leading axes kept.  It is a copy of
+    da^2 db^2 entries, so a search builds it once, not per evaluation."""
+    da, db = r4.shape[-4:-2]
+    # (a, b, A, B) -> (A, a, b, B); two swapaxes cost less than np.moveaxis
+    return r4.swapaxes(-4, -2).swapaxes(-3, -2).reshape(r4.shape[:-4] + (da * da, db * db))
+
+
+def _gradient_matrix(r4: np.ndarray) -> np.ndarray:
+    """r4 (..., da, db, da, db) as the matrix (B b, a A) that _rows_gradient
+    takes, leading axes kept; a copy, built once per search like
+    _block_matrix."""
+    da, db = r4.shape[-4:-2]
+    # (a, b, A, B) -> (B, b, a, A)
+    return r4.swapaxes(-4, -1).swapaxes(-2, -1).reshape(r4.shape[:-4] + (db * db, da * da))
+
+
+def _conditional_blocks(r_mat: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """Unnormalized states of B after outcome i of Alice's effects:
     m_i = Tr_A[rho (M_i (x) 1)], stacked (..., n_out, dim_b, dim_b): one
-    matmul of the effects, flattened over (A, a), on r4 as a matrix.  A
-    stack of states r4 (..., da, db, da, db) broadcasts with the effects'
-    leading axes, one state per effect stack."""
-    da, db = r4.shape[-4:-2]
-    flat = effects.reshape(effects.shape[:-2] + (da * da,))
-    # (a, b, A, B) -> (A, a, b, B); two swapaxes cost less than np.moveaxis
-    r_mat = r4.swapaxes(-4, -2).swapaxes(-3, -2).reshape(r4.shape[:-4] + (da * da, db * db))
+    matmul of the effects, flattened over (A, a), on the state's
+    _block_matrix r_mat.  A stack of states (..., da^2, db^2) broadcasts
+    with the effects' leading axes, one state per effect stack."""
+    flat = effects.reshape(effects.shape[:-2] + (-1,))
     blocks = flat @ r_mat
+    db = isqrt(r_mat.shape[-1])  # r_mat's columns run over (b, B)
     return blocks.reshape(blocks.shape[:-1] + (db, db))
 
 
@@ -104,26 +121,26 @@ def _outcome_table(rho: DensityMatrix, effects_a: np.ndarray, effects_b: np.ndar
     conditional blocks of Alice's effects M_i and N_s Bob's effects; leading
     axes of the effect stacks are kept.  One side at a time: O(d^5), no
     Kronecker product."""
-    return _block_table(_conditional_blocks(_r4(rho), effects_a), effects_b)
+    return _block_table(_conditional_blocks(_block_matrix(_r4(rho)), effects_a), effects_b)
 
 
-def _rows_gradient(r4: np.ndarray, ls: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _rows_gradient(r_adj: np.ndarray, ls: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """2 Z_i^T <k_i| for Alice's rows <k_i| and blocks L_i on B, flattened
     row-major to (..., n, db * db), with Z_i = Tr_B[rho (1 (x) L_i)]: the
     gradient in the rows of sum_i Tr[L_i m_i] over the conditional blocks
     m_i, for fixed L_i.  The back-contraction of _conditional_blocks, one
-    matmul on r4 as a matrix."""
+    matmul on the state's _gradient_matrix r_adj."""
     # z[i, a, A] = sum_bB L_i[B, b] r4[a, b, A, B]
-    da, db = r4.shape[-4:-2]
-    # (a, b, A, B) -> (B, b, a, A)
-    r_adj = r4.swapaxes(-4, -1).swapaxes(-2, -1).reshape(r4.shape[:-4] + (db * db, da * da))
+    da = rows.shape[-1]
     z = (ls @ r_adj).reshape(ls.shape[:-1] + (da, da))
     return 2.0 * np.einsum("...iAa,...iA->...ia", z, rows)
 
 
-def _mi_value_grad(r4: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
+def _mi_value_grad(r_mat: np.ndarray, r_adj: np.ndarray, rows_a: np.ndarray,
+                   rows_b: np.ndarray):
     """Record mi of the rank-one measurements with rows <k_i| and <l_s| on
-    the state r4, and its gradients with respect to both row matrices.
+    the state with _block_matrix r_mat and _gradient_matrix r_adj, and its
+    gradients with respect to both row matrices.
     Leading axes of the row stacks broadcast: (..., n, d) rows give (...,)
     values.  One side at a time, O(d^5): no product rows.
 
@@ -134,7 +151,7 @@ def _mi_value_grad(r4: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
     L_i = sum_s g_is N_s (_rows_gradient).  Zero entries contribute
     exactly zero to the value, as in _table_mi.
     """
-    blocks = _conditional_blocks(r4, _rank_one_effects(rows_a))
+    blocks = _conditional_blocks(r_mat, _rank_one_effects(rows_a))
     effects_b = _rank_one_effects(rows_b)
     t = np.maximum(_block_table(blocks, effects_b), 0.0)
     ta, tb = t.sum(axis=-1), t.sum(axis=-2)
@@ -145,7 +162,7 @@ def _mi_value_grad(r4: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
     ls = g @ effects_b.reshape(effects_b.shape[:-2] + (-1,))
     ks = g.swapaxes(-2, -1) @ blocks.reshape(blocks.shape[:-2] + (-1,))
     grad_b = 2.0 * (rows_b[..., np.newaxis, :] @ ks.reshape(ks.shape[:-1] + blocks.shape[-2:]))
-    return value, _rows_gradient(r4, ls, rows_a), grad_b[..., 0, :]
+    return value, _rows_gradient(r_adj, ls, rows_a), grad_b[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -419,11 +436,16 @@ def _objective(kernel: Callable, sides: tuple[_Side, ...]):
         grads = iter(grads)
         pulled = [pull(_stacked([next(grads) for _ in range(k)])).reshape(lead + (-1,))
                   for (_, pull), (_, k) in zip(charts, runs)]
-        return (-value, -np.concatenate(pulled, axis=-1),
-                np.concatenate([params_from_isometry(w).reshape(lead + (-1,)) for w, _ in charts],
-                               axis=-1))
+        return (-value, -_joined(pulled),
+                _joined([params_from_isometry(w).reshape(lead + (-1,)) for w, _ in charts]))
 
     return objective
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays concatenated on the last axis; a lone array comes back as
+    it is, with no copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
@@ -455,13 +477,15 @@ def _search(kernel: Callable, sides: tuple[_Side, ...], problem_seeds, cfg: Opti
 def _mi_kernel(rho: DensityMatrix, fixed: tuple[Povm | None, Povm | None]):
     """_mi_value_grad on the free parties' rows alone (fixed[k] is None),
     each fixed party's rows bound in: returns the value and the free
-    parties' rows gradients.  rho's r4 is taken once, here."""
+    parties' rows gradients.  rho's two contraction matrices are built once,
+    here."""
     r4 = _r4(rho)
+    r_mat, r_adj = _block_matrix(r4), _gradient_matrix(r4)
 
     def kernel(_owner, *free_rows):
         free = iter(free_rows)
         rows = [next(free) if f is None else f.rows for f in fixed]
-        value, *grads = _mi_value_grad(r4, *rows)
+        value, *grads = _mi_value_grad(r_mat, r_adj, *rows)
         return value, *(g for f, g in zip(fixed, grads) if f is None)
 
     return kernel
@@ -605,7 +629,7 @@ def conditional_states_b(rho: DensityMatrix, meas_a) -> list[tuple[float, np.nda
             f"measurement dim {pa.dim} does not match dim_a {rho.dim_a}"
         )
     out = []
-    for m in _conditional_blocks(_r4(rho), pa.effects):
+    for m in _conditional_blocks(_block_matrix(_r4(rho)), pa.effects):
         p = float(m.trace().real)
         if p > ZERO_PROB:
             out.append((p, m / p))
@@ -625,11 +649,12 @@ class HolevoSearchResult:
     n_converged: int
 
 
-def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
+def _holevo_value_grad(r_mat: np.ndarray, r_adj: np.ndarray, rows: np.ndarray):
     """-sum_i p_i S(rho_B|i) for the rank-one effects with rows <k_i|, and its
     gradient with respect to the rows; stacked rows (..., n, d) give (...,)
-    values.  r4 is one state, or a stack of states (..., da, db, da, db)
-    with one state per row stack.  No branch is normalized:
+    values.  r_mat and r_adj are a state's _block_matrix and
+    _gradient_matrix, or stacks of them with one state per row stack.  No
+    branch is normalized:
     sum_i p_i S(m_i / p_i) = -sum xlog2x(eigs of m_i) + sum xlog2x(p_i).
 
     On each unnormalized conditional block m_i the derivative is
@@ -638,14 +663,14 @@ def _holevo_value_grad(r4: np.ndarray, rows: np.ndarray):
     Z_i = Tr_B[rho (1 (x) L_i)], row i's gradient is 2 Z_i^T <k_i|
     (_rows_gradient).
     """
-    cond = _conditional_blocks(r4, _rank_one_effects(rows))
+    cond = _conditional_blocks(r_mat, _rank_one_effects(rows))
     probs = np.maximum(np.einsum("...ibb->...i", cond).real, 0.0)
     vals, vecs = np.linalg.eigh(cond)
     vals = np.maximum(vals, 0.0)
     lv, lp = _log2_floored(vals), _log2_floored(probs)
     value = (vals * lv).sum(axis=(-2, -1)) - (probs * lp).sum(axis=-1)
     logm = (vecs * (lv - lp[..., np.newaxis])[..., np.newaxis, :]) @ adjoint(vecs)
-    return value, _rows_gradient(r4, logm.reshape(logm.shape[:-2] + (-1,)), rows)
+    return value, _rows_gradient(r_adj, logm.reshape(logm.shape[:-2] + (-1,)), rows)
 
 
 def classical_correlation_a(
@@ -678,7 +703,8 @@ def _holevo_searches(states: list[DensityMatrix], cfg: OptimizerConfig, projecti
     """classical_correlation_a of each state, state k seeded also from the
     basis unitaries extra_seeds[k].  States of equal dimensions search the
     same side and run as the problems of one lockstep (optimize._multistart),
-    each row evaluated on its own state's r4; states of other dimensions
+    each row evaluated on its own state (the group's contraction matrices
+    are built once and indexed by owner); states of other dimensions
     form groups of their own.  A row's path depends on its row alone, so
     each result is == the one-state call."""
     groups = defaultdict(list)
@@ -699,7 +725,8 @@ def _holevo_searches(states: list[DensityMatrix], cfg: OptimizerConfig, projecti
                 seeds.insert(2, _fourier_frame(n, da))  # before any extra_seeds
             problem_seeds.append([(seed,) for seed in seeds])
         r4s = np.stack([_r4(states[k]) for k in group])
-        found = _search(lambda owner, rows: _holevo_value_grad(r4s[owner], rows),
+        r_mats, r_adjs = _block_matrix(r4s), _gradient_matrix(r4s)
+        found = _search(lambda owner, rows: _holevo_value_grad(r_mats[owner], r_adjs[owner], rows),
                         (_Side(n, da),), problem_seeds, cfg)
         for k, (res, (meas,)) in zip(group, found):
             # res.value is the minimized -(conditional-entropy defect)

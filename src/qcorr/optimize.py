@@ -44,11 +44,16 @@ trials, and stopping tests on its own row alone, with scipy's status codes:
 * 1: cfg.max_iters steps were accepted;
 * 2: the line search failed.
 
+With its pairs a start keeps R^-1 (R the upper triangle of S^T Y), the
+diagonal of S^T Y, Y^T Y and gamma, and updates them by bordering only
+when it gains a pair, so a round takes no solve and no product over the
+whole history.
+
 Since no start's path depends on another's, results are deterministic and
 monotone in the number of restarts, and a problem's result is the same,
 bit for bit, whether it runs alone or in one lockstep with other problems:
-every batched operation here (matmul, solve, the SVD of the polar map)
-works on each row's own matrices.
+every batched operation here (matmul, the SVD of the polar map) works on
+each row's own matrices.
 """
 from __future__ import annotations
 
@@ -61,14 +66,11 @@ from .linalg import adjoint, as_rng
 # Lockstep L-BFGS: curvature pairs kept per start, the relative-decrease
 # stopping test (scipy L-BFGS-B's default factr * machine epsilon), the
 # Armijo sufficient-decrease constant and the line-search trial cap.
-# The masks lay out the compact representation's (HISTORY, HISTORY) blocks.
 HISTORY = 10
 FTOL = 2.2e-9
 ARMIJO = 1e-4
 MAX_TRIALS = 20
 EPS = np.finfo(float).eps
-_SLOTS = np.arange(HISTORY)
-_UPPER = np.triu(np.ones((HISTORY, HISTORY)))
 _EYE = np.eye(HISTORY)
 
 
@@ -93,7 +95,8 @@ class OptimizerConfig:
     top.  Each start runs L-BFGS: max_iters caps its accepted steps (status
     1) and tolerance is its gradient test (status 0 once the largest entry
     of the gradient, the tangent gradient in a measurement search, is at
-    most tolerance).  A start also stops with status 0
+    most tolerance), positive and finite: an infinite tolerance would stop
+    every start at its first evaluation.  A start also stops with status 0
     when a step lowers the value by a relative FTOL = 2.2e-9 or less, a
     fixed test (about scipy's default ftol) rather than an option.  Results
     are deterministic functions of (problem, seed, restarts) and monotone in
@@ -110,8 +113,8 @@ class OptimizerConfig:
             raise ValueError("restarts must be >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 def n_isometry_params(n_out: int, d: int) -> int:
@@ -189,7 +192,8 @@ class SearchResult:
         return self.status.count(0)
 
 
-def _lbfgs_direction(g: np.ndarray, s: np.ndarray, y: np.ndarray, n_pairs: np.ndarray):
+def _lbfgs_direction(g: np.ndarray, hist: np.ndarray, rinv: np.ndarray, d_sy: np.ndarray,
+                     yy: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """-H g for each row's L-BFGS inverse Hessian H, from the compact
     representation of Byrd, Nocedal & Schnabel (Math. Prog. 63, 1994):
 
@@ -197,21 +201,54 @@ def _lbfgs_direction(g: np.ndarray, s: np.ndarray, y: np.ndarray, n_pairs: np.nd
                                     [-R^-1,                       0]] [S  gamma Y]^T
 
     with R the upper triangle of S^T Y, D its diagonal and gamma = s.y / y.y
-    of the newest pair.  s and y are (rows, HISTORY, n) and hold each row's
-    n_pairs pairs in the last slots, oldest first, with zeros before them;
-    an identity on the unused part of R's diagonal makes those slots add
-    nothing.  A row without pairs gets -g.
+    of the newest pair.  hist is (rows, 2 HISTORY, n), each row's S^T over
+    its Y^T, and rinv, d_sy, yy and gamma are each row's R^-1, the diagonal
+    of D, Y^T Y and gamma as _push_pairs keeps them, so that a direction takes
+    products alone: u = R^-1 S^T g, w = R^-T (D u + gamma (Y^T Y u - Y^T g))
+    and -H g = -(gamma g + S w - gamma Y u).  A row without pairs (a zero
+    history, R^-1 = I, D = Y^T Y = 0 and gamma = 1) gets -g.
     """
-    yt, gc = y.swapaxes(1, 2), g[:, :, np.newaxis]
-    sy, yy = s @ yt, y @ yt
-    unused = _SLOTS < HISTORY - n_pairs[:, np.newaxis]
-    r = sy * _UPPER + unused[:, np.newaxis, :] * _EYE
-    gamma = np.divide(sy[:, -1, -1], yy[:, -1, -1], out=np.ones(len(g)), where=n_pairs > 0)
-    gamma = gamma[:, np.newaxis, np.newaxis]
-    u = np.linalg.solve(r, s @ gc)
-    v = np.diagonal(sy, axis1=1, axis2=2)[:, :, np.newaxis] * u + gamma * (yy @ u - y @ gc)
-    w = np.linalg.solve(r.swapaxes(1, 2), v)
-    return -(gamma * gc + s.swapaxes(1, 2) @ w - gamma * (yt @ u))[:, :, 0]
+    gam = gamma[:, np.newaxis, np.newaxis]
+    sg_yg = hist @ g[:, :, np.newaxis]
+    u = rinv @ sg_yg[:, :HISTORY]
+    w = rinv.swapaxes(1, 2) @ (d_sy[:, :, np.newaxis] * u + gam * (yy @ u - sg_yg[:, HISTORY:]))
+    return -(gamma[:, np.newaxis] * g
+             + (hist.swapaxes(1, 2) @ np.concatenate([w, -gam * u], axis=1))[:, :, 0])
+
+
+def _empty_memory(rows: int, n: int):
+    """The L-BFGS memory of rows without pairs, as _lbfgs_direction reads it:
+    a zero history, R^-1 = I, D = 0, Y^T Y = 0 and gamma = 1."""
+    return (np.zeros((rows, 2 * HISTORY, n)), np.tile(_EYE, (rows, 1, 1)),
+            np.zeros((rows, HISTORY)), np.zeros((rows, HISTORY, HISTORY)), np.ones(rows))
+
+
+def _push_pairs(hist: np.ndarray, rinv: np.ndarray, d_sy: np.ndarray, yy: np.ndarray,
+                gamma: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray,
+                y2: np.ndarray) -> None:
+    """Append the curvature pair (s, y) of each row to its memory (see
+    _lbfgs_direction), in place, with sy = s.y > 0 and y2 = y.y, updating
+    the kept factors by bordering.  The history keeps its pairs in the last
+    slots, oldest first, with zeros before them, so a pair shifts every slot
+    down by one and the oldest falls off.  R is upper triangular, so the
+    trailing block of R^-1 is the inverse of R's trailing block: dropping
+    the oldest pair is a shift, as it is for D and Y^T Y.  The new column of
+    R^-1 is -R'^-1 r / sy, with R'^-1 that shifted block and r the products
+    s_i.y of the kept pairs, and Y^T Y gains the products y_i.y and y2.
+    """
+    c = hist @ y[:, :, np.newaxis]  # s_i.y over y_i.y, before the shift
+    hist[:, :-1] = hist[:, 1:]
+    hist[:, HISTORY - 1], hist[:, -1] = s, y
+    rinv[:, :-1, :-1] = rinv[:, 1:, 1:]
+    rinv[:, -1, :-1] = 0.0
+    rinv[:, :-1, -1:] = rinv[:, :-1, :-1] @ c[:, 1:HISTORY] / -sy[:, np.newaxis, np.newaxis]
+    rinv[:, -1, -1] = 1.0 / sy
+    yy[:, :-1, :-1] = yy[:, 1:, 1:]
+    yy[:, -1, :-1] = yy[:, :-1, -1] = c[:, HISTORY + 1:, 0]
+    yy[:, -1, -1] = y2
+    d_sy[:, :-1] = d_sy[:, 1:]
+    d_sy[:, -1] = sy
+    gamma[:] = sy / y2
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,10 +269,13 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
     s.y > eps |y|^2), its own backtracking Armijo line search (at most
     MAX_TRIALS trials, each cut to the minimizer of a quadratic fit, kept
     within [0.1, 0.5] of the last trial) and its own stopping test, so a
-    row's path does not depend on the other rows.  Every batched product
-    and solve here works on each row's own matrices, so that holds bit for
-    bit, and rows of several problems can share one lockstep with results
-    == separate runs, provided the objective too treats each row alone.
+    row's path does not depend on the other rows.  With its history a row
+    keeps R^-1, D, Y^T Y and gamma of the compact representation, updated
+    only when it gains a pair (_push_pairs), so a round makes no solve and
+    no product over the whole history.  Every batched product here works
+    on each row's own matrices, so that holds bit for bit, and rows of
+    several problems can share one lockstep with results == separate runs,
+    provided the objective too treats each row alone.
     Returns the final points, values, and per-row evaluation counts,
     accepted steps and statuses.
     """
@@ -247,10 +287,9 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
     # state of the rows still running; retired rows are copied out and dropped
     live = np.arange(n_rows)
     f, g, x = (np.array(a, dtype=float) for a in objective(x, live))
-    s_hist = np.zeros((n_rows, HISTORY, n))
-    y_hist = np.zeros((n_rows, HISTORY, n))
-    n_pairs = np.zeros(n_rows, dtype=int)
-    evals = np.ones(n_rows, dtype=int)
+    hist, rinv, d_sy, yy, gamma = _empty_memory(n_rows, n)
+    # every row starts at once and is evaluated once a round while it runs
+    evals = 1
     steps = np.zeros(n_rows, dtype=int)
     trials = np.zeros(n_rows, dtype=int)
     p = -g
@@ -264,14 +303,14 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
         if done.any():
             rows = live[done]
             x_out[rows], f_out[rows], status[rows] = x[done], f[done], stop[done]
-            nfev[rows], nit[rows] = evals[done], steps[done]
-            keep = ~done
-            live, x, f, g, p, slope, t, stop = (
-                a[keep] for a in (live, x, f, g, p, slope, t, stop))
-            s_hist, y_hist, n_pairs, evals, steps, trials = (
-                a[keep] for a in (s_hist, y_hist, n_pairs, evals, steps, trials))
-            if not live.size:
+            nfev[rows], nit[rows] = evals, steps[done]
+            keep = (~done).nonzero()[0]
+            if not keep.size:
                 return x_out, f_out, nfev, nit, status
+            live, x, f, g, p, slope, t, stop, steps, trials = (
+                a.take(keep, axis=0) for a in (live, x, f, g, p, slope, t, stop, steps, trials))
+            hist, rinv, d_sy, yy, gamma = (
+                a.take(keep, axis=0) for a in (hist, rinv, d_sy, yy, gamma))
 
         xt = x + t[:, np.newaxis] * p
         ft, gt, xr = objective(xt, live)
@@ -279,11 +318,15 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
         ok = ft <= f + ARMIJO * t * slope
 
         sk, yk = xt - x, gt - g
-        pair = ok & (_row_dot(sk, yk) > EPS * _row_dot(yk, yk))
+        sy, y2 = _row_dot(sk, yk), _row_dot(yk, yk)
+        pair = ok & (sy > EPS * y2)
         if pair.any():
-            s_hist[pair] = np.concatenate([s_hist[pair, 1:], sk[pair, np.newaxis]], axis=1)
-            y_hist[pair] = np.concatenate([y_hist[pair, 1:], yk[pair, np.newaxis]], axis=1)
-            n_pairs = np.minimum(n_pairs + pair, HISTORY)
+            # when every row gains a pair the slice gives views, which the
+            # push updates in place; otherwise it updates copies, written back
+            new = slice(None) if pair.all() else pair.nonzero()[0]
+            kept = hist[new], rinv[new], d_sy[new], yy[new], gamma[new]
+            _push_pairs(*kept, sk[new], yk[new], sy[new], y2[new])
+            hist[new], rinv[new], d_sy[new], yy[new], gamma[new] = kept
         decrease = (f - ft) / np.maximum(np.maximum(np.abs(f), np.abs(ft)), 1.0)
         # a rejected trial shrinks the step to the minimizer of the quadratic
         # through f, the slope and the trial value
@@ -291,28 +334,30 @@ def _lockstep_lbfgs(objective, x0: np.ndarray, cfg: OptimizerConfig):
         fit = np.divide(-slope * t * t, 2.0 * curvature, out=0.1 * t, where=curvature > 0)
         shrunk = np.minimum(np.maximum(fit, 0.1 * t), 0.5 * t)
 
-        x = np.where(ok[:, np.newaxis], xr, x)
+        ok_rows = ok[:, np.newaxis]
+        x = np.where(ok_rows, xr, x)
         f = np.where(ok, ft, f)
-        g = np.where(ok[:, np.newaxis], gt, g)
+        g = np.where(ok_rows, gt, g)
         steps += ok
         trials = np.where(ok, 0, trials + 1)
         small = (decrease <= FTOL) | (np.abs(g).max(axis=1, initial=0.0) <= cfg.tolerance)
         stop = np.where(ok, np.where(small, 0, np.where(steps >= cfg.max_iters, 1, -1)),
                         np.where(trials >= MAX_TRIALS, 2, -1))
 
-        d = _lbfgs_direction(g, s_hist, y_hist, n_pairs)
+        d = _lbfgs_direction(g, hist, rinv, d_sy, yy, gamma)
         dg = _row_dot(d, g)
         # round-off can cost a long history its descent property: restart it
         lost = ~(dg < 0)
         if lost.any():
-            s_hist[lost] = y_hist[lost] = 0.0
-            n_pairs = np.where(lost, 0, n_pairs)
+            hist[lost], rinv[lost], d_sy[lost], yy[lost], gamma[lost] = _empty_memory(
+                np.count_nonzero(lost), n)
             d[lost] = -g[lost]
             dg[lost] = -_row_dot(g[lost], g[lost])
         fresh = np.minimum(1.0, 1.0 / np.sqrt(np.maximum(-dg, EPS)))
-        p = np.where(ok[:, np.newaxis], d, p)
+        p = np.where(ok_rows, d, p)
         slope = np.where(ok, dg, slope)
-        t = np.where(ok, np.where(n_pairs > 0, 1.0, fresh), shrunk)
+        # a row has pairs exactly when its newest slot holds s.y > 0
+        t = np.where(ok, np.where(d_sy[:, -1] > 0, 1.0, fresh), shrunk)
 
 
 def _starts(start_points, n_random: int, random_start, cfg: OptimizerConfig) -> list:

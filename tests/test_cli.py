@@ -95,6 +95,18 @@ def test_scans_reject_search_flags(command, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in proc.stderr
 
 
+@pytest.mark.parametrize("flag", [["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"],
+                                  ["--tol", "-0.5"], ["--iters", "0"], ["--restarts", "-1"]],
+                         ids=lambda flag: " ".join(flag))
+def test_search_flags_out_of_range_are_usage_errors(singlet_file, flag):
+    # an infinite tolerance would stop every start at its first evaluation and
+    # still read converged; every out-of-range override fails in argparse
+    proc = run_cli("analyze", singlet_file, *flag)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument {flag[0]}: expected a " in proc.stderr
+
+
 @pytest.mark.parametrize("phase_model", ["uniform", "haar"])
 def test_dqc1_scan_caps_the_register(phase_model):
     proc = run_cli("dqc1-scan", "--dims", str(MAX_SCAN_N + 1), "--alpha-steps", "2",

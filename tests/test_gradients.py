@@ -18,8 +18,10 @@ from qcorr.linalg import (
 from qcorr.measures import (
     Povm,
     ProjectiveBasis,
+    _block_matrix,
     _conditional_blocks,
     _embed_basis,
+    _gradient_matrix,
     _holevo_value_grad,
     _mi_kernel,
     _mi_value_grad,
@@ -93,8 +95,14 @@ def mi_objective(rho, *sides, fixed=(None, None)):
     return objective
 
 
+def mats(r4):
+    """The two contraction matrices the kernels take."""
+    return _block_matrix(r4), _gradient_matrix(r4)
+
+
 def holevo_objective(r4, side):
-    objective = _objective(lambda _owner, rows: _holevo_value_grad(r4, rows), (side,))
+    r_mat, r_adj = mats(r4)
+    objective = _objective(lambda _owner, rows: _holevo_value_grad(r_mat, r_adj, rows), (side,))
     objective.sides = (side,)
     return objective
 
@@ -103,7 +111,7 @@ def _neg_avg_conditional_entropy(r4: np.ndarray, effects: np.ndarray) -> float:
     """-sum_i p_i S(rho_B|i), computed without normalizing each branch:
     sum_i p_i S(m_i / p_i) = -sum xlog2x(eigs of m_i) + sum xlog2x(p_i).
     The plain value path that the Holevo kernel's value is tested against."""
-    cond = _conditional_blocks(r4, effects)
+    cond = _conditional_blocks(_block_matrix(r4), effects)
     probs = np.clip(np.einsum("ibb->i", cond).real, 0.0, None)
     vals = np.clip(np.linalg.eigvalsh(cond), 0.0, None)
     return float(xlog2x(vals).sum() - xlog2x(probs).sum())
@@ -119,13 +127,13 @@ def test_mi_kernel_value_matches_table_paths(da, db):
     rho = random_density_matrix(da, db, rng=rng)
     r4 = _r4(rho)
     ua, ub = random_unitary(da, rng), random_unitary(db, rng)
-    value = _mi_value_grad(r4, ua.conj().T, ub.conj().T)[0]
+    value = _mi_value_grad(*mats(r4), ua.conj().T, ub.conj().T)[0]
     reference = _table_mi(_outcome_table(rho, _rank_one_effects(ua.conj().T),
                                            _rank_one_effects(ub.conj().T)))
     assert value == pytest.approx(reference, abs=1e-12)
     ra = Povm.random_rank_one(da, da + 2, rng).rows
     rb = Povm.random_rank_one(db, db + 1, rng).rows
-    value = _mi_value_grad(r4, ra, rb)[0]
+    value = _mi_value_grad(*mats(r4), ra, rb)[0]
     table = _outcome_table(rho, _rank_one_effects(ra), _rank_one_effects(rb))
     assert value == pytest.approx(_table_mi(table), abs=1e-12)
 
@@ -137,7 +145,7 @@ def test_mi_kernel_value_matches_table_paths(da, db):
     stack_b = np.array([Povm.random_rank_one(db, db + 1, rng).rows for _ in range(3)])
     for rows_a, rows_b, lead in ((stack_a, stack_b, (2, 3)), (stack_a, rb, (2, 3)),
                                  (ra, stack_b, (3,))):
-        value, grad_a, grad_b = _mi_value_grad(r4, rows_a, rows_b)
+        value, grad_a, grad_b = _mi_value_grad(*mats(r4), rows_a, rows_b)
         assert value.shape == lead
         assert grad_a.shape == lead + ra.shape and grad_b.shape == lead + rb.shape
         tables = _outcome_table(rho, _rank_one_effects(rows_a), _rank_one_effects(rows_b))
@@ -145,7 +153,7 @@ def test_mi_kernel_value_matches_table_paths(da, db):
         for k in np.ndindex(lead):
             one_a = rows_a[k] if rows_a.ndim > 2 else rows_a
             one_b = rows_b[k[-1]] if rows_b.ndim > 2 else rows_b
-            alone = _mi_value_grad(r4, one_a, one_b)
+            alone = _mi_value_grad(*mats(r4), one_a, one_b)
             for stacked, single in zip((value[k], grad_a[k], grad_b[k]), alone):
                 assert np.abs(stacked - single).max() <= 1e-12
 
@@ -156,7 +164,7 @@ def test_holevo_kernel_value_matches_conditional_entropy_path(da, db):
     rho = random_density_matrix(da, db, rng=rng)
     r4 = rho.mat.reshape(da, db, da, db)
     for rows in (random_unitary(da, rng).conj().T, Povm.random_rank_one(da, da + 2, rng).rows):
-        value = _holevo_value_grad(r4, rows)[0]
+        value = _holevo_value_grad(*mats(r4), rows)[0]
         reference = _neg_avg_conditional_entropy(r4, _rank_one_effects(rows))
         assert value == pytest.approx(reference, abs=1e-12)
 

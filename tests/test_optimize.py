@@ -5,7 +5,9 @@ from qcorr.linalg import as_rng, fourier_matrix, random_unitary
 from qcorr.optimize import (
     HISTORY,
     OptimizerConfig,
+    _empty_memory,
     _lbfgs_direction,
+    _push_pairs,
     isometry_from_params,
     multistart_minimize,
     n_isometry_params,
@@ -73,8 +75,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=-1)
 
 
-@pytest.mark.parametrize("field", [{"max_iters": 0}, {"tolerance": 0.0}],
-                         ids=["max-iters-0", "tolerance-0"])
+@pytest.mark.parametrize("field", [{"max_iters": 0}, {"tolerance": 0.0},
+                                   {"tolerance": float("inf")}],
+                         ids=["max-iters-0", "tolerance-0", "tolerance-inf"])
 def test_optimizer_config_rejects_a_zero_budget_or_tolerance(field):
     with pytest.raises(ValueError):
         OptimizerConfig(**field)
@@ -153,18 +156,67 @@ def two_loop_direction(g, s_pairs, y_pairs):
     return -r
 
 
+def push(memory, row, s, y):
+    """_push_pairs on one row of a memory, in place."""
+    _push_pairs(*(a[row:row + 1] for a in memory), s[np.newaxis], y[np.newaxis],
+                np.array([s @ y]), np.array([y @ y]))
+
+
 def test_compact_direction_matches_two_loop_recursion():
     rng = as_rng(14)
     n = 7
     a = rng.standard_normal((n, n))
     hessian = a @ a.T + np.eye(n)
-    counts = [0, 1, 4, HISTORY]
-    s_hist, y_hist = np.zeros((2, len(counts), HISTORY, n))
+    # the last row's history has wrapped: only its newest HISTORY pairs count
+    counts = [0, 1, 4, HISTORY, HISTORY + 3]
+    memory = _empty_memory(len(counts), n)
+    pairs = []
     g = rng.standard_normal((len(counts), n))
     for row, k in enumerate(counts):
-        s_hist[row, HISTORY - k:] = rng.standard_normal((k, n))
-        y_hist[row, HISTORY - k:] = s_hist[row, HISTORY - k:] @ hessian
-    got = _lbfgs_direction(g, s_hist, y_hist, np.array(counts))
-    for row, k in enumerate(counts):
-        want = two_loop_direction(g[row], s_hist[row, HISTORY - k:], y_hist[row, HISTORY - k:])
+        s_pairs = rng.standard_normal((k, n))
+        y_pairs = s_pairs @ hessian
+        for s, y in zip(s_pairs, y_pairs):
+            push(memory, row, s, y)
+        pairs.append((s_pairs[-HISTORY:], y_pairs[-HISTORY:]))
+    got = _lbfgs_direction(g, *memory)
+    for row, (s_pairs, y_pairs) in enumerate(pairs):
+        want = two_loop_direction(g[row], s_pairs, y_pairs)
         np.testing.assert_allclose(got[row], want, atol=1e-12 * np.abs(want).max())
+
+
+def fresh_factors(hist, k):
+    """R^-1, diag(S^T Y), Y^T Y and gamma of one row's stored history
+    (2 HISTORY, n) holding k pairs, computed anew: R is the upper triangle
+    of S^T Y with an identity on the HISTORY - k unused slots."""
+    s, y = hist[:HISTORY], hist[HISTORY:]
+    sy = s @ y.T
+    r = np.triu(sy) + np.diag(np.arange(HISTORY) < HISTORY - k)
+    gamma = sy[-1, -1] / (y[-1] @ y[-1]) if k else 1.0
+    return np.linalg.inv(r), np.diag(sy), y @ y.T, gamma
+
+
+def test_kept_factors_equal_a_fresh_computation():
+    # pairs along a quadratic, x moving by random steps: after every update
+    # each row's R^-1, D, Y^T Y and gamma equal their computation from the
+    # stored pairs, through 3 HISTORY pairs and, on row 1, a descent-loss
+    # reset halfway
+    rng = as_rng(15)
+    n, rows = 16, 3
+    a = rng.standard_normal((n, n))
+    hessian = a @ a.T / n + np.eye(n)
+    memory = _empty_memory(rows, n)
+    counts = np.zeros(rows, dtype=int)
+    for step in range(3 * HISTORY):
+        if step == 3 * HISTORY // 2:
+            hist, rinv, d_sy, yy, gamma = memory
+            hist[1], rinv[1], d_sy[1], yy[1], gamma[1] = (b[0] for b in _empty_memory(1, n))
+            counts[1] = 0
+        for row in range(rows):
+            s = rng.standard_normal(n)
+            push(memory, row, s, hessian @ s)
+        counts += 1
+        for row in range(rows):
+            hist, *kept = (a[row] for a in memory)
+            for got, want in zip(kept, fresh_factors(hist, min(counts[row], HISTORY))):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-12 * max(np.abs(want).max(), 1.0))
