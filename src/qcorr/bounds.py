@@ -279,8 +279,7 @@ def mub_information_report(
         "total_refined": refined,
         "total_half": half,
     }
-    full_set = (d == 2 and mubs.count == 3) or (d > 2 and mubs.count == d + 1)
-    if full_set:
+    if mubs.count == d + 1:
         bounds["purity"] = purity_total_bound(marginal_mats(rho)[0], d, mubs.count)
         value, cap = state_independent_bound(d)
         bounds["state_independent"] = value

@@ -8,9 +8,10 @@ diagnostics go to stderr.
 
 Exit codes: 0 success, 1 file or parse error, 2 invalid state or
 usage error, 3 unsupported dimension, 4 campaign violation.  A --dims,
---samples or --alpha-steps value below 1 is a usage error, and so are the
-search overrides out of range: --restarts below 0, --iters below 1 and a
---tol that is not a positive finite number.
+--samples or --alpha-steps value below 1 is a usage error, and so is a
+--seed, --restarts, --iters or --tol value that OptimizerConfig rejects: a
+seed below 0, restarts below 0, iters below 1 or a tolerance that is not a
+positive finite number.
 
 Every campaign kind runs through one runner: it writes the CSV, prints an
 "N rows, K ok, V violations" summary to stderr and one replay line per
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -91,32 +91,29 @@ def _dims_list(text: str) -> list[int]:
     return dims
 
 
-def _int_at_least(text: str, low: int, what: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < low:
-        raise argparse.ArgumentTypeError(f"expected {what} integer, got {value}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
 
 
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1, "a positive")
+def _config_field(field: str, kind: type):
+    """argparse type for one OptimizerConfig field: the text read as kind
+    and checked by OptimizerConfig itself, so that the command line and the
+    library reject the same values."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            OptimizerConfig(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected a valid value, got {text!r}: {exc}")
+        return value
 
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0, "a non-negative")
-
-
-def _positive_finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 < value < math.inf:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
-    return value
+    return parse
 
 
 def cmd_analyze(args) -> int:
@@ -260,18 +257,19 @@ def cmd_trine(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    p.add_argument("--seed", type=_config_field("seed", int), default=0,
+                   help="master random seed")
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     """Optimizer overrides, for the subcommands that run a search."""
     cfg = OptimizerConfig()
-    p.add_argument("--restarts", type=_nonnegative_int, default=cfg.restarts,
+    p.add_argument("--restarts", type=_config_field("restarts", int), default=cfg.restarts,
                    help="random search restarts")
-    p.add_argument("--iters", type=_positive_int, default=cfg.max_iters,
+    p.add_argument("--iters", type=_config_field("max_iters", int), default=cfg.max_iters,
                    help="L-BFGS step cap per start")
-    p.add_argument("--tol", type=_positive_finite, default=cfg.tolerance,
+    p.add_argument("--tol", type=_config_field("tolerance", float), default=cfg.tolerance,
                    help="L-BFGS gradient tolerance")
 
 

@@ -290,8 +290,10 @@ def load_state(path) -> DensityMatrix:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        dim_a = int(doc["dimA"])
-        dim_b = int(doc["dimB"])
+        dim_a, dim_b = doc["dimA"], doc["dimB"]
+        # JSON integers only: int() would truncate 2.7 and take true or "2"
+        if type(dim_a) is not int or type(dim_b) is not int:
+            raise ValueError(f"dimA and dimB must be integers, got {dim_a!r} and {dim_b!r}")
         raw = doc["matrix"]
         m = np.array([[complex(re, im) for re, im in row] for row in raw], dtype=np.complex128)
     except (KeyError, TypeError, ValueError) as exc:

@@ -10,9 +10,8 @@ nonclassicality / discord figures are upper estimates.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from itertools import accumulate, groupby, product
+from itertools import product
 from math import isqrt
 
 import numpy as np
@@ -36,14 +35,7 @@ from .linalg import (
     von_neumann_entropy,
     xlog2x,
 )
-from .optimize import (
-    OptimizerConfig,
-    _multistart,
-    isometry_from_params,
-    isometry_from_params_vjp,
-    n_isometry_params,
-    params_from_isometry,
-)
+from .optimize import OptimizerConfig, _rank_one_search
 
 MAX_OPT_DIM = 16
 ZERO_PROB = 1e-12
@@ -384,96 +376,6 @@ def _projective_seed_pairs(rho: DensityMatrix) -> list[tuple[np.ndarray, np.ndar
     return pairs
 
 
-@dataclass(frozen=True)
-class _Side:
-    """One free party's measurement in a search: a rank-one POVM with n_out
-    outcomes on d levels, searched on its rows W (n_out x d, W^H W = 1)
-    themselves.  Its parameters hold a complex matrix, and its rows are that
-    matrix's polar factor, so completeness holds exactly by construction.  A
-    projective basis is the case n_out = d.  Seeds are row matrices.
-    """
-
-    n_out: int
-    d: int
-
-    @property
-    def n_params(self) -> int:
-        return n_isometry_params(self.n_out, self.d)
-
-    def povm(self, x: np.ndarray) -> Povm:
-        return Povm.from_isometry(isometry_from_params(x, self.n_out, self.d))
-
-
-def _param_slices(sides: tuple[_Side, ...]) -> list[slice]:
-    """Each side's slice of the parameter vector, sides concatenated in order."""
-    cuts = list(accumulate((side.n_params for side in sides), initial=0))
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _objective(kernel: Callable, sides: tuple[_Side, ...]):
-    """-kernel on the sides' parameters, for the batched L-BFGS.  kernel
-    takes the owner argument of the lockstep (the problem index of each
-    point, see optimize._multistart; None for a lone evaluation) and one
-    row stack per side, and returns the value and one rows gradient per
-    side.  Stacked points (S, n) give values (S,), the gradients (S, n)
-    projected onto the tangent spaces at the sides' rows, and the points
-    (S, n) of those rows, which lie on the manifold.
-
-    Consecutive sides of equal (n_out, d), such as the two bases of a d x d
-    record-mi search, are stacked on one axis and go through one polar map
-    and one pullback.  The SVD and every product there act on each matrix
-    of the stack alone, so stacking changes no bits."""
-    runs = [(side, len(list(run))) for side, run in groupby(sides)]
-    cuts = list(accumulate((side.n_params * k for side, k in runs), initial=0))
-
-    def objective(x, owner=None):
-        lead = x.shape[:-1]
-        charts = [isometry_from_params_vjp(x[..., lo:hi].reshape(lead + (k, side.n_params)),
-                                           side.n_out, side.d)
-                  for (side, k), lo, hi in zip(runs, cuts, cuts[1:])]
-        value, *grads = kernel(owner, *(w[..., j, :, :] for (w, _), (_, k) in zip(charts, runs)
-                                        for j in range(k)))
-        grads = iter(grads)
-        pulled = [pull(_stacked([next(grads) for _ in range(k)])).reshape(lead + (-1,))
-                  for (_, pull), (_, k) in zip(charts, runs)]
-        return (-value, -_joined(pulled),
-                _joined([params_from_isometry(w).reshape(lead + (-1,)) for w, _ in charts]))
-
-    return objective
-
-
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays concatenated on the last axis; a lone array comes back as
-    it is, with no copy."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
-
-
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays stacked on a new axis -3; a lone array gets the axis as a
-    view, which costs a tenth of np.stack."""
-    return arrays[0][..., np.newaxis, :, :] if len(arrays) == 1 else np.stack(arrays, axis=-3)
-
-
-def _search(kernel: Callable, sides: tuple[_Side, ...], problem_seeds, cfg: OptimizerConfig):
-    """Multi-start L-BFGS maximizing kernel over the sides' measurements,
-    one problem per entry of problem_seeds, all in one lockstep: problem k
-    starts from its seeds (one row matrix per side each) and cfg.restarts
-    random starts, and kernel is told which problem each point belongs to.
-    Returns per problem the SearchResult, whose value is the minimized
-    -kernel, and the best start's measurement on each side."""
-    # the polar factor of a Gaussian matrix is Haar-distributed, so one
-    # Gaussian draw starts bases and POVMs alike
-    n_params = sum(side.n_params for side in sides)
-    results = _multistart(
-        _objective(kernel, sides),
-        [([np.concatenate([params_from_isometry(w) for w in seed]) for seed in seeds],
-          cfg.restarts, lambda rng: rng.standard_normal(n_params)) for seeds in problem_seeds],
-        cfg,
-    )
-    return [(res, [side.povm(res.params[part]) for side, part in zip(sides, _param_slices(sides))])
-            for res in results]
-
-
 def _mi_kernel(rho: DensityMatrix, fixed: tuple[Povm | None, Povm | None]):
     """_mi_value_grad on the free parties' rows alone (fixed[k] is None),
     each fixed party's rows bound in: returns the value and the free
@@ -496,17 +398,19 @@ def _mi_search(rho: DensityMatrix, fixed: tuple[Povm | None, Povm | None],
     """Record-mi search over the free parties (fixed[k] is None), party k
     a rank-one POVM with n_outs[k] outcomes, from the free halves of the
     seed pairs: pairs that differ only on a fixed party are one start,
-    which the search runs once.  Each fixed POVM comes back as it
-    was given; with both parties fixed there is nothing to search, and the
-    pair is evaluated once."""
+    which the search runs once.  optimize._rank_one_search runs it on the
+    (n_outs[k], d_k) shapes of the free parties and returns their winning
+    rows, wrapped here as POVMs.  Each fixed POVM comes back as it was
+    given; with both parties fixed there is nothing to search, and the pair
+    is evaluated once."""
     free = [k for k, f in enumerate(fixed) if f is None]
     if not free:
         return MiSearchResult(float(_mi_kernel(rho, fixed)(None)[0]), *fixed, True, 1, 1)
-    sides = tuple(_Side(n_outs[k], (rho.dim_a, rho.dim_b)[k]) for k in free)
+    shapes = tuple((n_outs[k], (rho.dim_a, rho.dim_b)[k]) for k in free)
     seeds = [[pair[k] for k in free] for pair in seed_pairs]
-    [(res, found)] = _search(_mi_kernel(rho, fixed), sides, [seeds], cfg)
+    [(res, found)] = _rank_one_search(_mi_kernel(rho, fixed), shapes, [seeds], cfg)
     found = iter(found)
-    meas_a, meas_b = (next(found) if f is None else f for f in fixed)
+    meas_a, meas_b = (Povm.from_isometry(next(found)) if f is None else f for f in fixed)
     return MiSearchResult(-res.value, meas_a, meas_b, res.converged, res.n_starts, res.n_converged)
 
 
@@ -541,13 +445,6 @@ def maximize_mi_projective(
     return _mi_search(rho, (None, None), (da, db), seeds, cfg)
 
 
-def _fourier_frame(n_out: int, d: int) -> np.ndarray:
-    """First d columns of the n_out-point DFT matrix: an equiangular tight
-    frame, the canonical symmetric rank-one POVM seed."""
-    k = np.arange(n_out)
-    return np.exp(2j * np.pi * np.outer(k, np.arange(d)) / n_out) / np.sqrt(n_out)
-
-
 def _embed_basis(rows: np.ndarray, n_out: int) -> np.ndarray:
     """Rows of a projective basis as an n_out-outcome POVM (extra outcomes
     never fire)."""
@@ -559,8 +456,10 @@ def _embed_basis(rows: np.ndarray, n_out: int) -> np.ndarray:
 
 def _povm_seeds(rows: np.ndarray, n_out: int) -> list[np.ndarray]:
     """Starts of an n_out-outcome POVM search from a basis's rows: the rows
-    embedded, the discrete Fourier frame, and the frame times the rows."""
-    frame = _fourier_frame(n_out, rows.shape[-1])
+    embedded, the discrete Fourier frame (the first d columns of the
+    n_out-point DFT, an equiangular tight frame), and the frame times the
+    rows."""
+    frame = fourier_matrix(n_out)[:, :rows.shape[-1]]
     return [_embed_basis(rows, n_out), frame, frame @ rows]
 
 
@@ -702,11 +601,12 @@ def _holevo_searches(states: list[DensityMatrix], cfg: OptimizerConfig, projecti
                      ) -> list[HolevoSearchResult]:
     """classical_correlation_a of each state, state k seeded also from the
     basis unitaries extra_seeds[k].  States of equal dimensions search the
-    same side and run as the problems of one lockstep (optimize._multistart),
-    each row evaluated on its own state (the group's contraction matrices
-    are built once and indexed by owner); states of other dimensions
-    form groups of their own.  A row's path depends on its row alone, so
-    each result is == the one-state call."""
+    same (n_out, dim_a) shape and run as the problems of one
+    optimize._rank_one_search, each row evaluated on its own state (the
+    group's contraction matrices are built once and indexed by the owner
+    argument); states of other dimensions form groups of their own.  A row's
+    path depends on its row alone, so each result is == the one-state call,
+    and each winner's rows are wrapped here as a POVM."""
     groups = defaultdict(list)
     for k, rho in enumerate(states):
         _check_opt_dims(rho)
@@ -722,17 +622,18 @@ def _holevo_searches(states: list[DensityMatrix], cfg: OptimizerConfig, projecti
             seeds = [np.eye(da), adjoint(va)] + [_seed_rows(u, da) for u in extra_seeds[k]]
             if not projective_only:
                 seeds = [_embed_basis(u, n) for u in seeds]
-                seeds.insert(2, _fourier_frame(n, da))  # before any extra_seeds
+                seeds.insert(2, fourier_matrix(n)[:, :da])  # before any extra_seeds
             problem_seeds.append([(seed,) for seed in seeds])
         r4s = np.stack([_r4(states[k]) for k in group])
         r_mats, r_adjs = _block_matrix(r4s), _gradient_matrix(r4s)
-        found = _search(lambda owner, rows: _holevo_value_grad(r_mats[owner], r_adjs[owner], rows),
-                        (_Side(n, da),), problem_seeds, cfg)
-        for k, (res, (meas,)) in zip(group, found):
+        found = _rank_one_search(
+            lambda owner, rows: _holevo_value_grad(r_mats[owner], r_adjs[owner], rows),
+            ((n, da),), problem_seeds, cfg)
+        for k, (res, (rows,)) in zip(group, found):
             # res.value is the minimized -(conditional-entropy defect)
             s_b = von_neumann_entropy(marginal_mats(states[k])[1])
-            results[k] = HolevoSearchResult(s_b - res.value, meas, res.converged, res.n_starts,
-                                            res.n_converged)
+            results[k] = HolevoSearchResult(s_b - res.value, Povm.from_isometry(rows),
+                                            res.converged, res.n_starts, res.n_converged)
     return results
 
 

@@ -1,5 +1,7 @@
 """Searches on the manifold of rank-one measurements: the polar retraction,
-the tangent projection, and a seeded multi-start L-BFGS minimizer.
+the tangent projection, a seeded multi-start L-BFGS minimizer, and the one
+search over local rank-one measurements that every optimized quantity in
+qcorr runs on it (_rank_one_search).
 
 A rank-one measurement with n_out outcomes on d levels is the n_out x d
 matrix W whose rows are its measurement rows <k_s|; completeness is
@@ -54,10 +56,21 @@ monotone in the number of restarts, and a problem's result is the same,
 bit for bit, whether it runs alone or in one lockstep with other problems:
 every batched operation here (matmul, the SVD of the polar map) works on
 each row's own matrices.
+
+_rank_one_search owns how a measurement search becomes parameters.  It
+takes a rows kernel (the value and the rows gradients of one row matrix
+per free side, see _rows_objective), the (n_out, d) shapes of the free
+sides and each problem's seed rows.  A point holds each side's 2*n_out*d
+parameters, real parts first, sides concatenated in order; consecutive
+sides of equal shape go through one polar map; a random start is one
+Gaussian draw of every parameter; and the winner's rows per side are the
+polar factor of its parameters, which the caller wraps as it needs.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -115,6 +128,8 @@ class OptimizerConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def n_isometry_params(n_out: int, d: int) -> int:
@@ -419,3 +434,70 @@ def multistart_minimize(objective, start_points, n_random: int, random_start,
     """
     return _multistart(lambda x, _: objective(x), [(start_points, n_random, random_start)],
                        cfg)[0]
+
+
+def _rows_objective(kernel: Callable, shapes: tuple[tuple[int, int], ...]):
+    """-kernel on the parameters of rank-one measurements of the given
+    (n_out, d) shapes, concatenated in order, for the batched L-BFGS.  kernel
+    takes the owner argument of the lockstep (the problem index of each
+    point, see _multistart; None for a lone evaluation) and one row stack per
+    shape, and returns the value and one rows gradient per shape.  Stacked
+    points (S, n) give values (S,), the gradients (S, n) projected onto the
+    tangent spaces at the rows, and the points (S, n) of those rows, which
+    lie on the manifold.
+
+    Consecutive equal shapes, such as the two bases of a d x d record-mi
+    search, are stacked on one axis and go through one polar map and one
+    pullback.  The SVD and every product there act on each matrix of the
+    stack alone, so stacking changes no bits."""
+    runs = [(shape, len(list(run))) for shape, run in groupby(shapes)]
+    cuts = list(accumulate((n_isometry_params(*shape) * k for shape, k in runs), initial=0))
+
+    def objective(x, owner=None):
+        lead = x.shape[:-1]
+        charts = [isometry_from_params_vjp(
+                      x[..., lo:hi].reshape(lead + (k, n_isometry_params(*shape))), *shape)
+                  for (shape, k), lo, hi in zip(runs, cuts, cuts[1:])]
+        value, *grads = kernel(owner, *(w[..., j, :, :] for (w, _), (_, k) in zip(charts, runs)
+                                        for j in range(k)))
+        grads = iter(grads)
+        pulled = [pull(_stacked([next(grads) for _ in range(k)])).reshape(lead + (-1,))
+                  for (_, pull), (_, k) in zip(charts, runs)]
+        return (-value, -_joined(pulled),
+                _joined([params_from_isometry(w).reshape(lead + (-1,)) for w, _ in charts]))
+
+    return objective
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays concatenated on the last axis; a lone array comes back as
+    it is, with no copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new axis -3; a lone array gets the axis as a
+    view, which costs a tenth of np.stack."""
+    return arrays[0][..., np.newaxis, :, :] if len(arrays) == 1 else np.stack(arrays, axis=-3)
+
+
+def _rank_one_search(kernel: Callable, shapes: tuple[tuple[int, int], ...], problem_seeds,
+                     cfg: OptimizerConfig) -> list[tuple[SearchResult, list[np.ndarray]]]:
+    """Multi-start L-BFGS maximizing kernel (see _rows_objective) over
+    rank-one measurements of the given (n_out, d) shapes, one problem per
+    entry of problem_seeds, all in one lockstep: problem k starts from its
+    seeds (one row matrix per shape each) and cfg.restarts random starts,
+    and kernel is told which problem each point belongs to.  Returns per
+    problem the SearchResult, whose value is the minimized -kernel, and the
+    best start's rows per shape, the polar factor of its parameters."""
+    cuts = list(accumulate((n_isometry_params(*shape) for shape in shapes), initial=0))
+    # the polar factor of a Gaussian matrix is Haar-distributed, so one
+    # Gaussian draw starts bases and POVMs alike
+    results = _multistart(
+        _rows_objective(kernel, shapes),
+        [([np.concatenate([params_from_isometry(w) for w in seed]) for seed in seeds],
+          cfg.restarts, lambda rng: rng.standard_normal(cuts[-1])) for seeds in problem_seeds],
+        cfg,
+    )
+    return [(res, [isometry_from_params(res.params[lo:hi], *shape)
+                   for shape, lo, hi in zip(shapes, cuts, cuts[1:])]) for res in results]

@@ -98,13 +98,17 @@ def _swap_operator(d: int) -> np.ndarray:
     return np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
-def werner_state(d: int, alpha: float) -> DensityMatrix:
-    """Werner state (I - alpha * SWAP) / (d^2 - d alpha); admissible for
-    alpha in [-1, 1]."""
+def _check_werner(d: int, alpha: float) -> None:
     if d < 2:
         raise DimensionMismatchError(f"d must be >= 2, got {d}")
     if not -1.0 <= alpha <= 1.0:
         raise InvalidStateError(f"alpha must lie in [-1, 1], got {alpha}")
+
+
+def werner_state(d: int, alpha: float) -> DensityMatrix:
+    """Werner state (I - alpha * SWAP) / (d^2 - d alpha); admissible for
+    alpha in [-1, 1]."""
+    _check_werner(d, alpha)
     m = (np.eye(d * d) - alpha * _swap_operator(d)) / (d * d - d * alpha)
     return DensityMatrix(m, d, d)
 
@@ -112,10 +116,7 @@ def werner_state(d: int, alpha: float) -> DensityMatrix:
 def werner_analytics(d: int, alpha: float) -> FamilyAnalytics:
     """Closed forms for the Werner family; the best projective pair is any
     matched basis, which gives the standard-bases outcome table."""
-    if d < 2:
-        raise DimensionMismatchError(f"d must be >= 2, got {d}")
-    if not -1.0 <= alpha <= 1.0:
-        raise InvalidStateError(f"alpha must lie in [-1, 1], got {alpha}")
+    _check_werner(d, alpha)
     if alpha == 0.0:
         return FamilyAnalytics(0.0, 0.0, 0.0)
     norm = d * (d - alpha)

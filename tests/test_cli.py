@@ -107,6 +107,20 @@ def test_search_flags_out_of_range_are_usage_errors(singlet_file, flag):
     assert f"argument {flag[0]}: expected a " in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze", str(Path(__file__).parent / "golden" / "state_2x2.json")],
+    ["campaign", "prop1", "--samples", "1"],
+    ["dqc1-scan", "--dims", "3", "--alpha-steps", "2", "--phase-model", "haar"],
+], ids=["analyze", "prop1", "dqc1-scan"])
+def test_negative_seed_is_a_usage_error(args):
+    # a seed below 0 is rejected by OptimizerConfig's own check in argparse,
+    # not by numpy once the first random draw is made
+    proc = run_cli(*args, "--seed", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --seed: expected a " in proc.stderr
+
+
 @pytest.mark.parametrize("phase_model", ["uniform", "haar"])
 def test_dqc1_scan_caps_the_register(phase_model):
     proc = run_cli("dqc1-scan", "--dims", str(MAX_SCAN_N + 1), "--alpha-steps", "2",

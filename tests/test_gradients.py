@@ -2,6 +2,7 @@
 finite differences, stacked evaluation against one point at a time, the
 lockstep L-BFGS, and the searches on inputs with zero probabilities."""
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -25,12 +26,9 @@ from qcorr.measures import (
     _holevo_value_grad,
     _mi_kernel,
     _mi_value_grad,
-    _objective,
     _outcome_table,
-    _param_slices,
     _r4,
     _rank_one_effects,
-    _Side,
     _table_mi,
     classical_correlation_a,
     full_report,
@@ -41,6 +39,7 @@ from qcorr.optimize import (
     OptimizerConfig,
     _lockstep_lbfgs,
     _multistart,
+    _rows_objective,
     isometry_from_params_vjp,
     multistart_minimize,
     n_isometry_params,
@@ -66,6 +65,13 @@ def complex_matrix(params, n_out, d):
     return (params[: n_out * d] + 1j * params[n_out * d:]).reshape(n_out, d)
 
 
+def param_slices(shapes):
+    """Each shape's slice of the parameter vector, shapes concatenated in
+    order."""
+    cuts = list(accumulate((n_isometry_params(*shape) for shape in shapes), initial=0))
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def assert_gradient_matches(objective, points):
     """At the retracted points: each point's gradient against central
     differences, its tangency on every side, and the stacked
@@ -80,18 +86,18 @@ def assert_gradient_matches(objective, points):
         assert np.abs(grad - alone_grad).max() <= 1e-12
         fd = central_differences(objective, x)
         assert np.linalg.norm(alone_grad - fd) <= 1e-6 * np.linalg.norm(fd), (alone_grad, fd)
-        for side, part in zip(objective.sides, _param_slices(objective.sides)):
-            w = complex_matrix(x[part], side.n_out, side.d)
-            xi = complex_matrix(grad[part], side.n_out, side.d)
+        for shape, part in zip(objective.shapes, param_slices(objective.shapes)):
+            w = complex_matrix(x[part], *shape)
+            xi = complex_matrix(grad[part], *shape)
             sym = w.conj().T @ xi + xi.conj().T @ w
             assert np.abs(sym).max() <= 1e-12 * max(1.0, np.abs(xi).max())
 
 
-def mi_objective(rho, *sides, fixed=(None, None)):
-    """The record-mi objective on the free sides, the fixed POVMs bound into
-    the kernel."""
-    objective = _objective(_mi_kernel(rho, fixed), sides)
-    objective.sides = sides
+def mi_objective(rho, *shapes, fixed=(None, None)):
+    """The record-mi objective on the free sides' (n_out, d) shapes, the
+    fixed POVMs bound into the kernel."""
+    objective = _rows_objective(_mi_kernel(rho, fixed), shapes)
+    objective.shapes = shapes
     return objective
 
 
@@ -100,10 +106,11 @@ def mats(r4):
     return _block_matrix(r4), _gradient_matrix(r4)
 
 
-def holevo_objective(r4, side):
+def holevo_objective(r4, shape):
     r_mat, r_adj = mats(r4)
-    objective = _objective(lambda _owner, rows: _holevo_value_grad(r_mat, r_adj, rows), (side,))
-    objective.sides = (side,)
+    objective = _rows_objective(lambda _owner, rows: _holevo_value_grad(r_mat, r_adj, rows),
+                                (shape,))
+    objective.shapes = (shape,)
     return objective
 
 
@@ -173,7 +180,7 @@ def test_holevo_kernel_value_matches_conditional_entropy_path(da, db):
 def test_projective_mi_gradient(da, db):
     rng = as_rng([3, da, db])
     rho = random_density_matrix(da, db, rng=rng)
-    objective = mi_objective(rho, _Side(da, da), _Side(db, db))
+    objective = mi_objective(rho, (da, da), (db, db))
     assert_gradient_matches(objective, [
         np.concatenate([random_params(da, rng), random_params(db, rng)]),
         np.concatenate([params_from_unitary(np.eye(da)), params_from_unitary(np.eye(db))]),
@@ -187,7 +194,7 @@ def test_povm_mi_gradient_free_and_fixed_sides(da, db):
     rho = random_density_matrix(da, db, rng=rng)
     na, nb = da + 2, db + 1
     pa, pb = n_isometry_params(na, da), n_isometry_params(nb, db)
-    both = mi_objective(rho, _Side(na, da), _Side(nb, db))
+    both = mi_objective(rho, (na, da), (nb, db))
     seed = np.concatenate([
         params_from_isometry(_embed_basis(np.eye(da), na)),
         params_from_isometry(_embed_basis(np.eye(db), nb)),
@@ -195,9 +202,9 @@ def test_povm_mi_gradient_free_and_fixed_sides(da, db):
     assert_gradient_matches(both, [rng.standard_normal(pa + pb), seed])
     fixed_a = Povm.from_basis(ProjectiveBasis(random_unitary(da, rng)))
     fixed_b = Povm.random_rank_one(db, nb, rng)
-    assert_gradient_matches(mi_objective(rho, _Side(nb, db), fixed=(fixed_a, None)),
+    assert_gradient_matches(mi_objective(rho, (nb, db), fixed=(fixed_a, None)),
                             rng.standard_normal((2, pb)))
-    assert_gradient_matches(mi_objective(rho, _Side(na, da), fixed=(None, fixed_b)),
+    assert_gradient_matches(mi_objective(rho, (na, da), fixed=(None, fixed_b)),
                             rng.standard_normal((2, pa)))
 
 
@@ -206,10 +213,10 @@ def test_holevo_gradient_projective_and_povm(da, db):
     rng = as_rng([5, da, db])
     rho = random_density_matrix(da, db, rng=rng)
     r4 = rho.mat.reshape(da, db, da, db)
-    projective = holevo_objective(r4, _Side(da, da))
+    projective = holevo_objective(r4, (da, da))
     assert_gradient_matches(projective, [random_params(da, rng), params_from_unitary(np.eye(da))])
     n_out = da * da
-    povm = holevo_objective(r4, _Side(n_out, da))
+    povm = holevo_objective(r4, (n_out, da))
     assert_gradient_matches(povm, rng.standard_normal((2, n_isometry_params(n_out, da))))
 
 
@@ -242,10 +249,10 @@ def test_lockstep_start_is_the_same_alone_and_in_a_batch(d):
     rho = random_density_matrix(d, d, rng=as_rng([10, d]))
     cfg = OptimizerConfig(seed=0)
     cases = [
-        (mi_objective(rho, _Side(d, d), _Side(d, d)),
+        (mi_objective(rho, (d, d), (d, d)),
          [np.concatenate([params_from_unitary(random_unitary(d, as_rng([d, k])))
                           for _ in range(2)]) for k in range(5)]),
-        (holevo_objective(_r4(rho), _Side(d + 1, d)),
+        (holevo_objective(_r4(rho), (d + 1, d)),
          as_rng([11, d]).standard_normal((5, n_isometry_params(d + 1, d)))),
     ]
     for objective, starts in cases:
@@ -260,7 +267,7 @@ def test_lockstep_start_is_the_same_alone_and_in_a_batch(d):
     # record-mi search and a 2d-outcome Holevo search, each row evaluated by
     # its own problem's objective: every row's x, f, nfev, nit and status is
     # == its run without the other problem
-    problems = [cases[0][0], holevo_objective(_r4(rho), _Side(2 * d, d))]
+    problems = [cases[0][0], holevo_objective(_r4(rho), (2 * d, d))]
     starts = [np.array(cases[0][1]), as_rng([12, d]).standard_normal((4, 4 * d * d))]
 
     def both(x, owner):
@@ -293,20 +300,20 @@ def test_lockstep_start_is_the_same_alone_and_in_a_batch(d):
 
 @pytest.mark.parametrize("da,db", [(3, 3), (3, 2)])
 def test_stacked_sides_equal_per_side_charts(da, db):
-    # _objective puts equal sides through one polar map and one pullback;
-    # that must give the bits of one chart per side
+    # _rows_objective puts equal shapes through one polar map and one
+    # pullback; that must give the bits of one chart per side
     rng = as_rng([13, da, db])
     rho = random_density_matrix(da, db, rng=rng)
-    sides = (_Side(da, da), _Side(db, db))
+    shapes = ((da, da), (db, db))
     kernel = _mi_kernel(rho, (None, None))
-    x = rng.standard_normal((5, sum(side.n_params for side in sides)))
-    charts = [isometry_from_params_vjp(x[:, part], side.n_out, side.d)
-              for side, part in zip(sides, _param_slices(sides))]
+    x = rng.standard_normal((5, sum(n_isometry_params(*shape) for shape in shapes)))
+    charts = [isometry_from_params_vjp(x[:, part], *shape)
+              for shape, part in zip(shapes, param_slices(shapes))]
     value, *grads = kernel(None, *(w for w, _ in charts))
     want = (-value,
             -np.concatenate([pull(g) for (_, pull), g in zip(charts, grads)], axis=-1),
             np.concatenate([params_from_isometry(w) for w, _ in charts], axis=-1))
-    for got, one_per_side in zip(_objective(kernel, sides)(x), want):
+    for got, one_per_side in zip(_rows_objective(kernel, shapes)(x), want):
         assert np.array_equal(got, one_per_side)
 
 

@@ -218,6 +218,13 @@ def test_load_state_rejects_malformed_files(tmp_path):
     missing.write_text(json.dumps({"dimA": 2, "matrix": []}))
     with pytest.raises(ValueError):
         load_state(missing)
+    # a dimension that is not a JSON integer is malformed, not truncated or cast
+    mat = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    for dims in [(2.7, 2), (2, 2.5), (True, 4), ("2", 2), (2, None)]:
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps({"dimA": dims[0], "dimB": dims[1], "matrix": mat}))
+        with pytest.raises(ValueError, match="malformed state file"):
+            load_state(odd)
 
 
 def test_load_state_revalidates_invariants(tmp_path):

@@ -32,7 +32,7 @@ from qcorr.measures import (
     measurement_induced_disturbance,
     quantum_mutual_info,
 )
-from qcorr import measures
+from qcorr import measures, optimize
 from qcorr.optimize import OptimizerConfig, _multistart
 from qcorr.states import (
     bell_diagonal_state,
@@ -256,7 +256,7 @@ def test_maximize_mi_povm_with_both_sides_fixed_evaluates_them(monkeypatch):
         calls.append(args)
         return _multistart(*args)
 
-    monkeypatch.setattr(measures, "_multistart", counted)
+    monkeypatch.setattr(optimize, "_multistart", counted)
     res = maximize_mi_povm(rho, 4, 3, LIGHT, fixed_a=fixed_a, fixed_b=fixed_b)
     assert not calls  # no search at all: there is no free side
     expected = classical_mutual_info(joint_distribution(rho, fixed_a, fixed_b))
@@ -276,7 +276,7 @@ def test_maximize_mi_povm_with_bob_fixed_searches_alice_alone(monkeypatch):
         values.append(-res.value)
         return [res]
 
-    monkeypatch.setattr(measures, "_multistart", recorded)
+    monkeypatch.setattr(optimize, "_multistart", recorded)
     res = maximize_mi_povm(rho, 4, 3, LIGHT, fixed_b=fixed_b)
     assert res.meas_b is fixed_b and res.meas_a.rows.shape == (4, 3)
     expected = classical_mutual_info(joint_distribution(rho, res.meas_a, fixed_b))
@@ -293,7 +293,7 @@ def test_one_sided_seeding_search_runs_each_free_basis_once(monkeypatch):
         starts.append(res.n_starts)
         return [res]
 
-    monkeypatch.setattr(measures, "_multistart", counted)
+    monkeypatch.setattr(optimize, "_multistart", counted)
     trine_povm_optimum(OptimizerConfig(restarts=8, seed=0))
     # Alice is fixed, so the seed pairs give Bob I, F, v_B, I, F: three distinct
     # bases plus eight random starts.  Bob's best basis is then the identity,
@@ -449,7 +449,7 @@ def test_holevo_pair_in_one_lockstep_equals_two_single_searches(name, monkeypatc
         locksteps.append(args)
         return _multistart(*args)
 
-    monkeypatch.setattr(measures, "_multistart", counted)
+    monkeypatch.setattr(optimize, "_multistart", counted)
     pair = _holevo_searches([rho, swap_sides(rho)], cfg, True, None, [[ua], [ub]])
     assert len(locksteps) == (1 if rho.dim_a == rho.dim_b else 2)
     for got, want in zip(pair, singles):

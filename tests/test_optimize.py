@@ -76,8 +76,8 @@ def test_optimizer_config_validation():
 
 
 @pytest.mark.parametrize("field", [{"max_iters": 0}, {"tolerance": 0.0},
-                                   {"tolerance": float("inf")}],
-                         ids=["max-iters-0", "tolerance-0", "tolerance-inf"])
+                                   {"tolerance": float("inf")}, {"seed": -1}],
+                         ids=["max-iters-0", "tolerance-0", "tolerance-inf", "seed-negative"])
 def test_optimizer_config_rejects_a_zero_budget_or_tolerance(field):
     with pytest.raises(ValueError):
         OptimizerConfig(**field)
