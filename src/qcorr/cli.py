@@ -256,9 +256,11 @@ def cmd_trine(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_config_field("seed", int), default=0,
-                   help="master random seed")
+def _add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
+    """--out, and --seed on the subcommands that draw random numbers."""
+    if seeded:
+        p.add_argument("--seed", type=_config_field("seed", int), default=0,
+                       help="master random seed")
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("werner-scan", help="closed-form scan of the swap-mixture family (CSV)")
     p.add_argument("--dims", type=_dims_list, default=[2, 3, 10], help="comma-separated d list")
     p.add_argument("--alpha-steps", type=_positive_int, default=101)
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(func=cmd_werner_scan)
 
     p = sub.add_parser("dqc1-scan", help="polarization scan of the one-clean-qubit model (CSV)")

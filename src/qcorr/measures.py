@@ -593,14 +593,14 @@ def classical_correlation_a(
     swap in one lockstep (_holevo_searches), with results == these calls.
     """
     return _holevo_searches([rho], cfg or OptimizerConfig(), projective_only, n_out,
-                            [extra_seeds or []])[0]
+                            [[_seed_rows(u, rho.dim_a) for u in extra_seeds or []]])[0]
 
 
 def _holevo_searches(states: list[DensityMatrix], cfg: OptimizerConfig, projective_only: bool,
-                     n_out: int | None, extra_seeds: list[list[np.ndarray]]
+                     n_out: int | None, extra_rows: list[list[np.ndarray]]
                      ) -> list[HolevoSearchResult]:
     """classical_correlation_a of each state, state k seeded also from the
-    basis unitaries extra_seeds[k].  States of equal dimensions search the
+    basis rows U^H in extra_rows[k].  States of equal dimensions search the
     same (n_out, dim_a) shape and run as the problems of one
     optimize._rank_one_search, each row evaluated on its own state (the
     group's contraction matrices are built once and indexed by the owner
@@ -619,10 +619,10 @@ def _holevo_searches(states: list[DensityMatrix], cfg: OptimizerConfig, projecti
         problem_seeds = []
         for k in group:
             _, va = hermitian_eigen(marginal_mats(states[k])[0])
-            seeds = [np.eye(da), adjoint(va)] + [_seed_rows(u, da) for u in extra_seeds[k]]
+            seeds = [np.eye(da), adjoint(va), *extra_rows[k]]
             if not projective_only:
                 seeds = [_embed_basis(u, n) for u in seeds]
-                seeds.insert(2, fourier_matrix(n)[:, :da])  # before any extra_seeds
+                seeds.insert(2, fourier_matrix(n)[:, :da])  # before any extra rows
             problem_seeds.append([(seed,) for seed in seeds])
         r4s = np.stack([_r4(states[k]) for k in group])
         r_mats, r_adjs = _block_matrix(r4s), _gradient_matrix(r4s)
@@ -806,12 +806,9 @@ def full_report(
     smut = s_a + s_b - s_ab
 
     proj = maximize_mi_projective(rho, cfg)
-    ua = proj.meas_a.rows.conj().T
-    ub = proj.meas_b.rows.conj().T
-
     eig = i_eigenbasis(rho)
-
-    cc_a, cc_b = _holevo_searches([rho, swap_sides(rho)], cfg, True, None, [[ua], [ub]])
+    cc_a, cc_b = _holevo_searches([rho, swap_sides(rho)], cfg, True, None,
+                                  [[proj.meas_a.rows], [proj.meas_b.rows]])
 
     n_out_a, n_out_b = povm_outcomes or (None, None)
     mi_povm = None

@@ -61,16 +61,16 @@ _rank_one_search owns how a measurement search becomes parameters.  It
 takes a rows kernel (the value and the rows gradients of one row matrix
 per free side, see _rows_objective), the (n_out, d) shapes of the free
 sides and each problem's seed rows.  A point holds each side's 2*n_out*d
-parameters, real parts first, sides concatenated in order; consecutive
-sides of equal shape go through one polar map; a random start is one
-Gaussian draw of every parameter; and the winner's rows per side are the
-polar factor of its parameters, which the caller wraps as it needs.
+parameters, real parts first, sides concatenated in order; each side
+goes through its own polar map; a random start is one Gaussian draw of
+every parameter; and the winner's rows per side are the polar factor of
+its parameters, which the caller wraps as it needs.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 import numpy as np
 
@@ -113,7 +113,8 @@ class OptimizerConfig:
     when a step lowers the value by a relative FTOL = 2.2e-9 or less, a
     fixed test (about scipy's default ftol) rather than an option.  Results
     are deterministic functions of (problem, seed, restarts) and monotone in
-    restarts.
+    restarts.  restarts, max_iters and seed must be integers (Python or
+    numpy, not bool).
     """
 
     restarts: int = 32
@@ -122,6 +123,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
         if self.max_iters < 1:
@@ -436,6 +441,13 @@ def multistart_minimize(objective, start_points, n_random: int, random_start,
                        cfg)[0]
 
 
+def _side_slices(shapes: tuple[tuple[int, int], ...]) -> list[slice]:
+    """Each side's slice of a point's parameters, sides of the given
+    (n_out, d) shapes concatenated in order."""
+    cuts = list(accumulate((n_isometry_params(*shape) for shape in shapes), initial=0))
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _rows_objective(kernel: Callable, shapes: tuple[tuple[int, int], ...]):
     """-kernel on the parameters of rank-one measurements of the given
     (n_out, d) shapes, concatenated in order, for the batched L-BFGS.  kernel
@@ -444,27 +456,16 @@ def _rows_objective(kernel: Callable, shapes: tuple[tuple[int, int], ...]):
     shape, and returns the value and one rows gradient per shape.  Stacked
     points (S, n) give values (S,), the gradients (S, n) projected onto the
     tangent spaces at the rows, and the points (S, n) of those rows, which
-    lie on the manifold.
-
-    Consecutive equal shapes, such as the two bases of a d x d record-mi
-    search, are stacked on one axis and go through one polar map and one
-    pullback.  The SVD and every product there act on each matrix of the
-    stack alone, so stacking changes no bits."""
-    runs = [(shape, len(list(run))) for shape, run in groupby(shapes)]
-    cuts = list(accumulate((n_isometry_params(*shape) * k for shape, k in runs), initial=0))
+    lie on the manifold.  Each side goes through its own polar map and
+    pullback."""
+    parts = _side_slices(shapes)
 
     def objective(x, owner=None):
-        lead = x.shape[:-1]
-        charts = [isometry_from_params_vjp(
-                      x[..., lo:hi].reshape(lead + (k, n_isometry_params(*shape))), *shape)
-                  for (shape, k), lo, hi in zip(runs, cuts, cuts[1:])]
-        value, *grads = kernel(owner, *(w[..., j, :, :] for (w, _), (_, k) in zip(charts, runs)
-                                        for j in range(k)))
-        grads = iter(grads)
-        pulled = [pull(_stacked([next(grads) for _ in range(k)])).reshape(lead + (-1,))
-                  for (_, pull), (_, k) in zip(charts, runs)]
-        return (-value, -_joined(pulled),
-                _joined([params_from_isometry(w).reshape(lead + (-1,)) for w, _ in charts]))
+        charts = [isometry_from_params_vjp(x[..., part], *shape)
+                  for shape, part in zip(shapes, parts)]
+        value, *grads = kernel(owner, *(w for w, _ in charts))
+        return (-value, -_joined([pull(g) for (_, pull), g in zip(charts, grads)]),
+                _joined([params_from_isometry(w) for w, _ in charts]))
 
     return objective
 
@@ -473,12 +474,6 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     """The arrays concatenated on the last axis; a lone array comes back as
     it is, with no copy."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
-
-
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays stacked on a new axis -3; a lone array gets the axis as a
-    view, which costs a tenth of np.stack."""
-    return arrays[0][..., np.newaxis, :, :] if len(arrays) == 1 else np.stack(arrays, axis=-3)
 
 
 def _rank_one_search(kernel: Callable, shapes: tuple[tuple[int, int], ...], problem_seeds,
@@ -490,14 +485,15 @@ def _rank_one_search(kernel: Callable, shapes: tuple[tuple[int, int], ...], prob
     and kernel is told which problem each point belongs to.  Returns per
     problem the SearchResult, whose value is the minimized -kernel, and the
     best start's rows per shape, the polar factor of its parameters."""
-    cuts = list(accumulate((n_isometry_params(*shape) for shape in shapes), initial=0))
+    parts = _side_slices(shapes)
     # the polar factor of a Gaussian matrix is Haar-distributed, so one
     # Gaussian draw starts bases and POVMs alike
     results = _multistart(
         _rows_objective(kernel, shapes),
         [([np.concatenate([params_from_isometry(w) for w in seed]) for seed in seeds],
-          cfg.restarts, lambda rng: rng.standard_normal(cuts[-1])) for seeds in problem_seeds],
+          cfg.restarts, lambda rng: rng.standard_normal(parts[-1].stop))
+         for seeds in problem_seeds],
         cfg,
     )
-    return [(res, [isometry_from_params(res.params[lo:hi], *shape)
-                   for shape, lo, hi in zip(shapes, cuts, cuts[1:])]) for res in results]
+    return [(res, [isometry_from_params(res.params[part], *shape)
+                   for shape, part in zip(shapes, parts)]) for res in results]

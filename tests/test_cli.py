@@ -95,6 +95,14 @@ def test_scans_reject_search_flags(command, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in proc.stderr
 
 
+def test_werner_scan_rejects_seed():
+    # the closed-form scan draws no random numbers, so it takes no seed
+    proc = run_cli("werner-scan", "--dims", "3", "--alpha-steps", "2", "--seed", "7")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --seed 7" in proc.stderr
+
+
 @pytest.mark.parametrize("flag", [["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"],
                                   ["--tol", "-0.5"], ["--iters", "0"], ["--restarts", "-1"]],
                          ids=lambda flag: " ".join(flag))
@@ -140,8 +148,9 @@ def test_dqc1_scan_caps_haar_phases():
 
 def test_commands_run_without_scipy():
     # scipy is a test dependency only: with it blocked, the package must
-    # still import and run a search and a scan; numpy.fft, which only the
-    # scan's spectral argmax uses, loads with the first scan, not on import
+    # still import and run a search and a scan, with no warning; numpy.fft,
+    # which only the scan's spectral argmax uses, loads with the first scan,
+    # not on import
     code = """
 import sys
 sys.modules["scipy"] = None
@@ -152,7 +161,8 @@ assert main(["dqc1-scan", "--dims", "3", "--alpha-steps", "3"]) == 0
 print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
 """
     state = Path(__file__).parent / "golden" / "state_2x2.json"
-    proc = subprocess.run([sys.executable, "-c", code, str(state)], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, str(state)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("[]")
 

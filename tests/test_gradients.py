@@ -2,7 +2,6 @@
 finite differences, stacked evaluation against one point at a time, the
 lockstep L-BFGS, and the searches on inputs with zero probabilities."""
 import warnings
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from qcorr.optimize import (
     _lockstep_lbfgs,
     _multistart,
     _rows_objective,
-    isometry_from_params_vjp,
+    _side_slices,
     multistart_minimize,
     n_isometry_params,
     params_from_isometry,
@@ -65,13 +64,6 @@ def complex_matrix(params, n_out, d):
     return (params[: n_out * d] + 1j * params[n_out * d:]).reshape(n_out, d)
 
 
-def param_slices(shapes):
-    """Each shape's slice of the parameter vector, shapes concatenated in
-    order."""
-    cuts = list(accumulate((n_isometry_params(*shape) for shape in shapes), initial=0))
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-
-
 def assert_gradient_matches(objective, points):
     """At the retracted points: each point's gradient against central
     differences, its tangency on every side, and the stacked
@@ -86,7 +78,7 @@ def assert_gradient_matches(objective, points):
         assert np.abs(grad - alone_grad).max() <= 1e-12
         fd = central_differences(objective, x)
         assert np.linalg.norm(alone_grad - fd) <= 1e-6 * np.linalg.norm(fd), (alone_grad, fd)
-        for shape, part in zip(objective.shapes, param_slices(objective.shapes)):
+        for shape, part in zip(objective.shapes, _side_slices(objective.shapes)):
             w = complex_matrix(x[part], *shape)
             xi = complex_matrix(grad[part], *shape)
             sym = w.conj().T @ xi + xi.conj().T @ w
@@ -296,25 +288,6 @@ def test_lockstep_start_is_the_same_alone_and_in_a_batch(d):
         assert res.value == alone.value and np.array_equal(res.params, alone.params)
         assert (res.converged, res.n_starts, res.nfev, res.nit, res.status) == (
             alone.converged, alone.n_starts, alone.nfev, alone.nit, alone.status)
-
-
-@pytest.mark.parametrize("da,db", [(3, 3), (3, 2)])
-def test_stacked_sides_equal_per_side_charts(da, db):
-    # _rows_objective puts equal shapes through one polar map and one
-    # pullback; that must give the bits of one chart per side
-    rng = as_rng([13, da, db])
-    rho = random_density_matrix(da, db, rng=rng)
-    shapes = ((da, da), (db, db))
-    kernel = _mi_kernel(rho, (None, None))
-    x = rng.standard_normal((5, sum(n_isometry_params(*shape) for shape in shapes)))
-    charts = [isometry_from_params_vjp(x[:, part], *shape)
-              for shape, part in zip(shapes, param_slices(shapes))]
-    value, *grads = kernel(None, *(w for w, _ in charts))
-    want = (-value,
-            -np.concatenate([pull(g) for (_, pull), g in zip(charts, grads)], axis=-1),
-            np.concatenate([params_from_isometry(w) for w, _ in charts], axis=-1))
-    for got, one_per_side in zip(_rows_objective(kernel, shapes)(x), want):
-        assert np.array_equal(got, one_per_side)
 
 
 @pytest.mark.parametrize("d", [3, 4])

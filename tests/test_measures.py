@@ -450,7 +450,8 @@ def test_holevo_pair_in_one_lockstep_equals_two_single_searches(name, monkeypatc
         return _multistart(*args)
 
     monkeypatch.setattr(optimize, "_multistart", counted)
-    pair = _holevo_searches([rho, swap_sides(rho)], cfg, True, None, [[ua], [ub]])
+    pair = _holevo_searches([rho, swap_sides(rho)], cfg, True, None,
+                            [[proj.meas_a.rows], [proj.meas_b.rows]])
     assert len(locksteps) == (1 if rho.dim_a == rho.dim_b else 2)
     for got, want in zip(pair, singles):
         assert got.value == want.value

@@ -75,12 +75,21 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=-1)
 
 
-@pytest.mark.parametrize("field", [{"max_iters": 0}, {"tolerance": 0.0},
-                                   {"tolerance": float("inf")}, {"seed": -1}],
-                         ids=["max-iters-0", "tolerance-0", "tolerance-inf", "seed-negative"])
+@pytest.mark.parametrize("field", [
+    {"max_iters": 0}, {"tolerance": 0.0}, {"tolerance": float("inf")}, {"seed": -1},
+    {"restarts": 2.5}, {"restarts": 2.0}, {"max_iters": 2.5}, {"seed": 1.5},
+    {"restarts": True}, {"max_iters": True}, {"seed": False},
+], ids=["max-iters-0", "tolerance-0", "tolerance-inf", "seed-negative",
+        "restarts-float", "restarts-integral-float", "max-iters-float", "seed-float",
+        "restarts-bool", "max-iters-bool", "seed-bool"])
 def test_optimizer_config_rejects_a_zero_budget_or_tolerance(field):
     with pytest.raises(ValueError):
         OptimizerConfig(**field)
+
+
+def test_optimizer_config_accepts_numpy_integers():
+    cfg = OptimizerConfig(restarts=np.int64(2), max_iters=np.int32(5), seed=np.uint8(3))
+    assert (cfg.restarts, cfg.max_iters, cfg.seed) == (2, 5, 3)
 
 
 def quadratic(x):  # stacked points (S, n)
