@@ -160,7 +160,7 @@ def _prop1_rows(args, dims):
         record = classical_mutual_info(joint_distribution(rho, meas_a, meas_b))
         s_a, s_b = (von_neumann_entropy(m) for m in marginal_mats(rho))
         # the same sum as quantum_mutual_info, without recomputing S_A and S_B
-        smut = s_a + s_b - von_neumann_entropy(rho.mat)
+        smut = s_a + s_b - von_neumann_entropy(rho)
         ok = record <= min(s_a, s_b, smut) + PROP1_SLACK
         yield f"sample {k}", [k, d_a, d_b, n_a, n_b, record, s_a, s_b, smut, ok]
 

@@ -6,7 +6,7 @@ Conventions: composite indices are row-major, i.e. the joint index of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,11 +55,15 @@ class DensityMatrix:
 
     Construction checks hermiticity, unit trace and positivity; instances
     are immutable afterwards (the underlying array is marked read-only).
+    spectrum keeps the ascending eigvalsh of mat that the positivity check
+    takes, read-only, so that von_neumann_entropy of the state reads it
+    rather than taking a second eigendecomposition.
     """
 
     mat: np.ndarray
     dim_a: int
     dim_b: int
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.mat, dtype=np.complex128)
@@ -79,29 +83,41 @@ class DensityMatrix:
         trace_defect = abs(m.trace() - 1.0)
         if trace_defect > TRACE_TOL:
             raise InvalidStateError(f"trace differs from 1 by {trace_defect:.3e}")
-        low = np.linalg.eigvalsh(m)[0]
-        if low < -PSD_TOL:
-            raise InvalidStateError(f"negative eigenvalue {low:.3e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
+        vals = np.linalg.eigvalsh(m)
+        if vals[0] < -PSD_TOL:
+            raise InvalidStateError(f"negative eigenvalue {vals[0]:.3e}")
+        for name, a in (("mat", m), ("spectrum", vals)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
 
 
+# einsum subscripts of Tr_B and Tr_A on rho's (a, b, a', b') view
+_KEEP = {"A": "ijkj->ik", "B": "ijil->jl"}
+
+
+def _reduced(rho: DensityMatrix, keep: str) -> np.ndarray:
+    r = rho.mat.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    return np.einsum(_KEEP[keep], r)
+
+
 def marginal_mats(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Reduced matrices (Tr_B rho, Tr_A rho), without validation."""
-    r = rho.mat.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    return np.einsum("ijkj->ik", r), np.einsum("ijil->jl", r)
+    return _reduced(rho, "A"), _reduced(rho, "B")
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """Trace out one side; keep is "A" or "B".  The result is a single-system
-    state represented with a trivial second factor."""
+    state represented with a trivial second factor.  Only the kept side is
+    contracted, with the same einsum as marginal_mats, and the reduced
+    state's spectrum is that of its own validation, so an entropy taken
+    afterwards needs no further eigendecomposition."""
     if keep not in ("A", "B"):
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    red = marginal_mats(rho)["AB".index(keep)]
+    red = _reduced(rho, keep)
     return DensityMatrix(red, red.shape[0], 1)
 
 
@@ -174,9 +190,14 @@ def xlog2x(x) -> np.ndarray:
     return out
 
 
+def _entropy_bits(p: np.ndarray) -> float:
+    """-sum p log2 p of probabilities already checked to lie in [0, 1]."""
+    return float(-np.sum(xlog2x(p)) + 0.0)
+
+
 def shannon_entropy(p: np.ndarray) -> float:
     """Shannon entropy in bits; zero entries are skipped."""
-    return float(-np.sum(xlog2x(_clean_probs(np.ravel(p)))) + 0.0)
+    return _entropy_bits(_clean_probs(np.ravel(p)))
 
 
 def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
@@ -198,12 +219,21 @@ def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
 
 
 def _eigvals_of(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
-    vals = np.linalg.eigvalsh(m)
+    """The ascending spectrum as probabilities, every entry in [0, 1]: a
+    DensityMatrix's kept spectrum, or eigvalsh of a raw matrix (which reads
+    its lower triangle).  A spectrum below -EIG_CLAMP, off one in sum by
+    more than 1e-9, or NaN raises."""
+    if isinstance(rho, DensityMatrix):
+        vals = rho.spectrum
+    else:
+        vals = np.linalg.eigvalsh(np.asarray(rho, dtype=np.complex128))
     if vals[0] < -EIG_CLAMP:
         raise InvalidStateError(f"negative eigenvalue {vals[0]:.3e}")
-    if abs(vals.sum() - 1.0) > 1e-9:
-        raise InvalidStateError(f"trace {vals.sum():.12f} differs from 1")
+    total = vals.sum()
+    # written so that NaN fails it: eigvalsh of a matrix with a NaN or an
+    # infinite entry gives NaN eigenvalues
+    if not abs(total - 1.0) <= 1e-9:
+        raise InvalidStateError(f"trace {total:.12f} differs from 1")
     # a trace off by up to TRACE_TOL can put the top eigenvalue above one
     if vals[0] < 0.0 or vals[-1] > 1.0:
         vals = np.clip(vals, 0.0, None)
@@ -212,10 +242,12 @@ def _eigvals_of(rho: DensityMatrix | np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
-    """Von Neumann entropy in bits.  Eigenvalues in [-1e-10, 0) are clamped
-    to zero, and the spectrum is renormalized to sum to one whenever it
-    leaves [0, 1]; anything more negative raises."""
-    return shannon_entropy(_eigvals_of(rho))
+    """Von Neumann entropy in bits.  A DensityMatrix's entropy reads the
+    spectrum kept by its validation; a raw matrix takes eigvalsh of its lower
+    triangle.  Eigenvalues in [-1e-10, 0) are clamped to zero, and the
+    spectrum is renormalized to sum to one whenever it leaves [0, 1];
+    anything more negative, or a NaN spectrum, raises."""
+    return _entropy_bits(_eigvals_of(rho))
 
 
 def purity(rho: DensityMatrix | np.ndarray) -> float:
@@ -235,9 +267,9 @@ def _qr_with_phases(z: np.ndarray):
     diagonal folded in: Q diag(ph), the Q of the factorization whose R has a
     positive real diagonal.  A zero diagonal entry gets phase 1."""
     q, r = np.linalg.qr(z)
-    ph = np.diagonal(r, axis1=-2, axis2=-1)
-    mag = np.abs(ph)
-    ph = np.where(mag > 0, ph / np.where(mag > 0, mag, 1.0), 1.0)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(diag)
+    ph = np.divide(diag, mag, out=np.ones_like(diag), where=mag > 0)
     return q * ph[..., np.newaxis, :]
 
 

@@ -224,7 +224,9 @@ class Povm:
                 gap = np.abs(_rank_one_effects(r) - e).max()
                 if gap > 1e-9:
                     raise InvalidStateError(f"rows differ from the effects by {gap:.3e}")
-        defect = np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[1])))
+        excess = e.sum(axis=0)
+        excess -= np.eye(e.shape[1])
+        defect = np.max(np.abs(excess))
         if defect > 1e-9:
             raise InvalidStateError(f"effects sum differs from identity by {defect:.3e}")
         for name, a in (("effects", e), ("rows", r)):
@@ -332,9 +334,10 @@ def classical_mutual_info(dist) -> float:
 
 
 def quantum_mutual_info(rho: DensityMatrix) -> float:
-    """S(A) + S(B) - S(AB) in bits."""
+    """S(A) + S(B) - S(AB) in bits.  S(A) and S(B) take eigvalsh of the
+    raw marginal_mats; S(AB) reads rho's kept spectrum."""
     ma, mb = marginal_mats(rho)
-    return von_neumann_entropy(ma) + von_neumann_entropy(mb) - von_neumann_entropy(rho.mat)
+    return von_neumann_entropy(ma) + von_neumann_entropy(mb) - von_neumann_entropy(rho)
 
 
 @dataclass(frozen=True)
@@ -802,7 +805,7 @@ def full_report(
     ma, mb = marginal_mats(rho)
     s_a = von_neumann_entropy(ma)
     s_b = von_neumann_entropy(mb)
-    s_ab = von_neumann_entropy(rho.mat)
+    s_ab = von_neumann_entropy(rho)
     smut = s_a + s_b - s_ab
 
     proj = maximize_mi_projective(rho, cfg)

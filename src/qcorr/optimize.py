@@ -114,7 +114,8 @@ class OptimizerConfig:
     fixed test (about scipy's default ftol) rather than an option.  Results
     are deterministic functions of (problem, seed, restarts) and monotone in
     restarts.  restarts, max_iters and seed must be integers (Python or
-    numpy, not bool).
+    numpy, not bool), and tolerance a real number (an integer or a float,
+    Python or numpy, not bool).
     """
 
     restarts: int = 32
@@ -127,6 +128,9 @@ class OptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+            raise ValueError(f"tolerance must be a real number, got {tol!r}")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
         if self.max_iters < 1:

@@ -12,6 +12,7 @@ from qcorr.linalg import (
     fourier_matrix,
     hermitian_eigen,
     load_state,
+    marginal_mats,
     partial_trace,
     purity,
     random_density_matrix,
@@ -23,6 +24,7 @@ from qcorr.linalg import (
     von_neumann_entropy,
     xlog2x,
 )
+from qcorr.measures import quantum_mutual_info
 
 SINGLET = np.array(
     [[0, 0, 0, 0], [0, 0.5, -0.5, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]],
@@ -166,6 +168,38 @@ def test_von_neumann_entropy_pure_and_mixed():
     assert von_neumann_entropy(np.diag([0.25, 0.75])) == pytest.approx(
         0.8112781244591328, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("rank", [None, 1])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 5)])
+def test_kept_spectrum_gives_the_raw_matrix_entropies_bitwise(dims, rank):
+    # a state's entropy reads the spectrum its validation took, a raw matrix's
+    # takes eigvalsh again: both must give the same floats
+    rho = random_density_matrix(*dims, rank=rank, rng=as_rng(list(dims)))
+    assert rho.spectrum.tobytes() == np.linalg.eigvalsh(rho.mat).tobytes()
+    assert not rho.spectrum.flags.writeable
+    assert von_neumann_entropy(rho) == von_neumann_entropy(rho.mat)
+    marginals = marginal_mats(rho)
+    for side, raw in zip("AB", marginals):
+        reduced = partial_trace(rho, side)
+        assert reduced.mat.tobytes() == raw.tobytes()
+        assert von_neumann_entropy(reduced) == von_neumann_entropy(raw)
+    s_a, s_b = (von_neumann_entropy(m) for m in marginals)
+    assert quantum_mutual_info(rho) == s_a + s_b - von_neumann_entropy(rho.mat)
+    # an entropy that clamps a round-off negative eigenvalue clamps a copy
+    assert rho.spectrum.tobytes() == np.linalg.eigvalsh(rho.mat).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (1, 0)])
+def test_entropy_of_a_raw_matrix_with_a_non_finite_entry_raises(entry, bad):
+    # eigvalsh reads the lower triangle, where such an entry gives a NaN
+    # spectrum (or, for a NaN on the diagonal, one that sums to zero); no
+    # DensityMatrix is built to catch it first
+    m = np.eye(2, dtype=complex) / 2
+    m[entry] = bad
+    with pytest.raises(InvalidStateError):
+        von_neumann_entropy(m)
 
 
 def test_purity_values():

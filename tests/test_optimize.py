@@ -79,9 +79,10 @@ def test_optimizer_config_validation():
     {"max_iters": 0}, {"tolerance": 0.0}, {"tolerance": float("inf")}, {"seed": -1},
     {"restarts": 2.5}, {"restarts": 2.0}, {"max_iters": 2.5}, {"seed": 1.5},
     {"restarts": True}, {"max_iters": True}, {"seed": False},
+    {"tolerance": True}, {"tolerance": "1e-7"},
 ], ids=["max-iters-0", "tolerance-0", "tolerance-inf", "seed-negative",
         "restarts-float", "restarts-integral-float", "max-iters-float", "seed-float",
-        "restarts-bool", "max-iters-bool", "seed-bool"])
+        "restarts-bool", "max-iters-bool", "seed-bool", "tolerance-bool", "tolerance-string"])
 def test_optimizer_config_rejects_a_zero_budget_or_tolerance(field):
     with pytest.raises(ValueError):
         OptimizerConfig(**field)
@@ -90,6 +91,11 @@ def test_optimizer_config_rejects_a_zero_budget_or_tolerance(field):
 def test_optimizer_config_accepts_numpy_integers():
     cfg = OptimizerConfig(restarts=np.int64(2), max_iters=np.int32(5), seed=np.uint8(3))
     assert (cfg.restarts, cfg.max_iters, cfg.seed) == (2, 5, 3)
+
+
+@pytest.mark.parametrize("tol", [1, 1e-9, np.float32(1e-6), np.float64(1e-7), np.int64(2)])
+def test_optimizer_config_accepts_real_tolerances(tol):
+    assert OptimizerConfig(tolerance=tol).tolerance == tol
 
 
 def quadratic(x):  # stacked points (S, n)
