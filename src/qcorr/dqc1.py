@@ -29,8 +29,11 @@ polarization's curve on the grid is one FFT, whatever 2**n is.  Each
 polarization's series stops at the least even m, at most 512, where a
 geometric bound on the dropped harmonics (`_tail_bound`) is at most
 1e-14 (m = 20 at alpha = 0.5, m = 158 at alpha = 0.99), and the moments go
-only as far as the scan's highest such m.  A polarization takes this
-spectral route only where some m up to 512 qualifies; the rest, alpha = 1
+only as far as the scan's highest such m.  That m, the polarization's
+cutoff, is found once per scan and coarse-to-fine: the bound decreases in
+m, so it is taken at every 32nd harmonic first and then only at the 16
+even harmonics of the first bracket where it holds.  A polarization takes
+this spectral route only where some m up to 512 qualifies; the rest, alpha = 1
 and alpha above about 0.9992, where
 rho -> 1 and G_m falls only as m**-3, evaluate the curve directly on the
 grid.  Either way, one exact evaluation at the chosen grid point seeds the
@@ -96,9 +99,11 @@ _POLISH_XTOL = 1e-12
 # the moments, the spectral curves and a direct curve are blocked the same way
 _POLISH_BLOCK_FLOATS = 2**20
 # the highest harmonic of the spectral argmax, and the bound on the harmonics
-# it drops (bits) below which a polarization takes it
+# it drops (bits) below which a polarization takes it; `_cutoff` searches the
+# harmonics up to _TERMS in brackets of _BRACKET
 _TERMS = 512
 _TAIL_TOL = 1e-14
+_BRACKET = 32
 
 
 @dataclass(frozen=True)
@@ -276,17 +281,33 @@ def _tail_bound(alphas, terms=_TERMS) -> np.ndarray:
     rho = 1."""
     alphas = np.asarray(alphas, dtype=float)
     terms = np.asarray(terms)
+    return _tail_cells(alphas, terms.reshape(-1)).reshape(alphas.shape + terms.shape)
+
+
+def _tail_cells(alphas, terms) -> np.ndarray:
+    """`_tail_bound` cell by cell: the last axis of terms holds the even
+    harmonics, either one row shared by every polarization in alphas or
+    one row per polarization (shape alphas.shape + (k,))."""
     c = np.sqrt(1 - alphas**2)[..., None]
-    dropped = -_kernel_coefficients(alphas, terms.reshape(-1) + 2)
+    dropped = -_kernel_coefficients(alphas, terms + 2)
     with np.errstate(divide="ignore"):
-        return (dropped * (1 + c) / (2 * c)).reshape(alphas.shape + terms.shape)
+        return dropped * (1 + c) / (2 * c)
 
 
 def _cutoff(alphas) -> np.ndarray:
     """Least even harmonic m <= _TERMS at each polarization in alphas
-    whose `_tail_bound` is at most _TAIL_TOL (0 where none is)."""
-    m = np.arange(0, _TERMS + 1, 2)
-    return m[np.argmax(_tail_bound(alphas, m) <= _TAIL_TOL, axis=-1)]
+    whose `_tail_bound` is at most _TAIL_TOL (0 where none is), found
+    coarse-to-fine: the bound decreases in m, so the first of the coarse
+    points 0, _BRACKET, ..., _TERMS where it qualifies ends a bracket
+    that holds the answer, and the bracket's _BRACKET / 2 even harmonics
+    are searched next.  Where no coarse point qualifies, or where m = 0
+    does, the bracket is clipped to 0."""
+    alphas = np.asarray(alphas, dtype=float)
+    coarse = np.arange(0, _TERMS + 1, _BRACKET)
+    top = coarse[np.argmax(_tail_cells(alphas, coarse) <= _TAIL_TOL, axis=-1)]
+    fine = np.maximum(top[..., None] + np.arange(2 - _BRACKET, 1, 2), 0)
+    first = np.argmax(_tail_cells(alphas, fine) <= _TAIL_TOL, axis=-1)
+    return np.take_along_axis(fine, first[..., None], axis=-1)[..., 0]
 
 
 def _moments(phases: np.ndarray, terms: int = _TERMS) -> np.ndarray:
@@ -306,11 +327,11 @@ def _series_length(grid: int) -> int:
     return -(-(_TERMS + 1) // grid) * grid
 
 
-def _spectral_argmax(moments, alphas, betas, phis: np.ndarray, grid: int) -> np.ndarray:
+def _spectral_argmax(moments, alphas, betas, cutoffs, phis: np.ndarray, grid: int) -> np.ndarray:
     """Index in phis, the first points 2 pi k / grid of the grid, of the
     largest record information at each polarization, with the kernel's mean
     summed from its series over the even harmonics up to the polarization's
-    `_cutoff`, whose `_moments` t_m are among those given:
+    `_cutoff`, given in cutoffs, whose `_moments` t_m are among those given:
     sum_m G_m Re(t_m e^{-i m phi}) is one FFT per row, so no row's
     arithmetic depends on the others or on how many moments are given."""
     from numpy import fft  # numpy loads it lazily; importing qcorr does not
@@ -318,7 +339,7 @@ def _spectral_argmax(moments, alphas, betas, phis: np.ndarray, grid: int) -> np.
     m = 2 * np.arange(moments.size)
     length = _series_length(grid)
     series = np.zeros((alphas.size, length), dtype=np.complex128)
-    series[:, m] = np.where(m <= _cutoff(alphas)[:, None],
+    series[:, m] = np.where(m <= cutoffs[:, None],
                             _kernel_coefficients(alphas, m) * moments, 0.0)
     stride = length // grid
     mean = fft.fft(series)[:, :stride * phis.size:stride].real
@@ -345,9 +366,11 @@ def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int,
 
     Each polarization's best grid point comes from `_spectral_argmax` where
     `_tail_bound` is at most _TAIL_TOL, and from `_direct_argmax`
-    otherwise, and `_polish` starts there.  The register's cos theta_s and
-    sin theta_s are taken once, here.  Polarizations run in blocks, so that
-    no array grows with the scan length.
+    otherwise, and `_polish` starts there.  Every polarization's `_cutoff`
+    is found once, here: it ends the polarization's own series, and the
+    highest spectral one ends the moments.  The register's cos theta_s and
+    sin theta_s are taken once, here, too.  Polarizations run in blocks, so
+    that no array grows with the scan length.
     """
     if grid < 1:
         raise ValueError(f"grid needs at least one azimuth point, got grid={grid}")
@@ -356,17 +379,18 @@ def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int,
     phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
     trig = (np.cos(model.phases), np.sin(model.phases))
     spectral = _tail_bound(alphas) <= _TAIL_TOL
+    cut = _cutoff(alphas)
     # the moments go only as far as the highest cutoff among the scan's rows
-    moments = _moments(model.phases, _cutoff(alphas[spectral]).max()) if spectral.any() else None
+    moments = _moments(model.phases, cut[spectral].max()) if spectral.any() else None
     best = np.empty_like(alphas)
     width = max(model.phases.size, 2 * _series_length(grid))
     block = max(1, _POLISH_BLOCK_FLOATS // width)
     for lo in range(0, alphas.size, block):
         part = slice(lo, lo + block)
-        a, b, s = alphas[part], betas[part], spectral[part]
+        a, b, c, s = alphas[part], betas[part], cut[part], spectral[part]
         cell = np.empty(a.shape, dtype=np.intp)
         if s.any():
-            cell[s] = _spectral_argmax(moments, a[s], b[s], phis, grid)
+            cell[s] = _spectral_argmax(moments, a[s], b[s], c[s], phis, grid)
         for i in np.flatnonzero(~s):
             cell[i] = _direct_argmax(trig, a[i], b[i], phis)
         best[part] = _polish(trig, a, b, phis[cell], 2 * np.pi / grid)

@@ -336,8 +336,44 @@ def test_moments_stop_at_the_highest_cutoff_a_scan_needs():
     short = dqc1._moments(model.phases, int(dqc1._cutoff(alphas).max()))
     assert short.size == 158 // 2 + 1
     np.testing.assert_array_equal(short, full[:short.size])
-    np.testing.assert_array_equal(dqc1._spectral_argmax(short, alphas, betas, phis, 720),
-                                  dqc1._spectral_argmax(full, alphas, betas, phis, 720))
+    cut = dqc1._cutoff(alphas)
+    np.testing.assert_array_equal(dqc1._spectral_argmax(short, alphas, betas, cut, phis, 720),
+                                  dqc1._spectral_argmax(full, alphas, betas, cut, phis, 720))
+
+
+def test_scan_finds_each_cutoff_once(monkeypatch):
+    calls = []
+    inner = dqc1._cutoff
+
+    def recorded(alphas):
+        calls.append(np.size(alphas))
+        return inner(alphas)
+
+    monkeypatch.setattr(dqc1, "_cutoff", recorded)
+    dqc1_scan(6, 21, "haar", seed=1)
+    assert calls == [21]
+    calls.clear()
+    dqc1_max_record_mi(Dqc1Model.haar(4, 0.5, seed=1))
+    assert calls == [1]
+
+
+def _full_grid_cutoff(alphas):
+    """`dqc1._cutoff` as the package found it before the coarse-to-fine
+    search, from the tail bound at every even harmonic up to 512: the
+    reference for the search."""
+    m = np.arange(0, dqc1._TERMS + 1, 2)
+    return m[np.argmax(dqc1._tail_bound(alphas, m) <= dqc1._TAIL_TOL, axis=-1)]
+
+
+def test_cutoff_matches_the_full_grid_reference():
+    cut = _spectral_cutoff()
+    for alphas in (np.linspace(0.0, 1.0, 100001), np.linspace(0.999, 1.0, 20001),
+                   np.array([np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0), cut + 1e-9])):
+        np.testing.assert_array_equal(dqc1._cutoff(alphas), _full_grid_cutoff(alphas))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = dqc1._cutoff(np.array([0.0, 1.0]))
+    np.testing.assert_array_equal(ends, [0, 0])
 
 
 def _spectral_cutoff():
@@ -437,14 +473,15 @@ def test_spectral_argmax_is_within_round_off_of_the_grid_maximum(grid):
     for model in (Dqc1Model.uniform(6, 0.0), Dqc1Model.haar(6, 0.0, seed=7)):
         trace = exact_normalized_trace(model)
         moments = dqc1._moments(model.phases)
-        cells = dqc1._spectral_argmax(moments, alphas, alphas * trace, phis, grid)
+        cells = dqc1._spectral_argmax(moments, alphas, alphas * trace, dqc1._cutoff(alphas),
+                                      phis, grid)
         table = dqc1._cos_table((np.cos(model.phases), np.sin(model.phases)), phis)
         for i, alpha in enumerate(alphas):
             values = dqc1._record_mi_curve(alpha, alpha * trace, phis, table)
             assert values[cells[i]] >= values.max() - 2 * dqc1._TAIL_TOL
             # a row's cell does not depend on the rows batched with it
             alone = dqc1._spectral_argmax(moments, alphas[i:i + 1], alphas[i:i + 1] * trace,
-                                          phis, grid)
+                                          dqc1._cutoff(alphas[i:i + 1]), phis, grid)
             assert alone[0] == cells[i]
 
 
