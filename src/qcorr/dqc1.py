@@ -58,12 +58,16 @@ addition, cos phi cos theta + sin phi sin theta and cos phi sin theta -
 sin phi cos theta, so a table costs products, not a cosine per cell.
 
 A Haar draw's eigenphases come from its Cayley transform: for a unitary u
-with no eigenvalue -1, i (1 + u)^-1 (1 - u) is Hermitian with eigenvalues
+with no eigenvalue -1, i (1 - u) (1 + u)^-1 is Hermitian with eigenvalues
 tan(theta / 2), so one linear solve and one Hermitian eigvalsh give the
-phases as 2 arctan, several times faster than a general eigvals of u.  A
-Haar draw has the eigenvalue -1 with probability zero.  A caller's unitary
-may well have it (where 1 + u is singular), so `Dqc1Model.from_unitary`
-keeps the general eigvals.
+phases as 2 arctan, several times faster than a general eigvals of u.  The
+draw is u = Q D for the QR factorization Z = Q R of a complex Ginibre
+matrix and D = diag(r_kk / |r_kk|) (Mezzadri 2007), so u = Z B^-1 with
+B = D^-1 R, and (1 - u) (1 + u)^-1 = (B - Z) (B + Z)^-1: the transform
+needs R alone, and neither Q nor u is formed.  A Haar draw has the
+eigenvalue -1 with probability zero.  A caller's unitary may well have it
+(where 1 + u is singular), so `Dqc1Model.from_unitary` keeps the general
+eigvals.
 
 All entropies are in bits.
 """
@@ -77,6 +81,8 @@ from .linalg import (
     DensityMatrix,
     InvalidStateError,
     UnsupportedDimensionError,
+    _diagonal_phases,
+    _haar_ginibre,
     as_rng,
     binary_entropy,
 )
@@ -141,15 +147,16 @@ class Dqc1Model:
 
     @classmethod
     def haar(cls, n: int, alpha: float, seed=0) -> "Dqc1Model":
-        """Eigenphases of a Haar-random unitary on the register."""
+        """Eigenphases of a Haar-random unitary on the register: those of
+        `random_unitary(2**n, seed)`, which the draw takes from the
+        generator exactly as that call does, but found from the R factor of
+        its Ginibre matrix Z alone (see `_haar_phases`)."""
         if n > MAX_HAAR_N:
             raise UnsupportedDimensionError(
                 f"haar phases need an eigendecomposition of a {2**n} level unitary; "
                 f"capped at n={MAX_HAAR_N}"
             )
-        from .linalg import random_unitary
-
-        return cls(n=n, alpha=alpha, phases=_cayley_phases(random_unitary(2**n, as_rng(seed))))
+        return cls(n=n, alpha=alpha, phases=_haar_phases(2**n, as_rng(seed)))
 
     @classmethod
     def from_unitary(cls, alpha: float, u: np.ndarray) -> "Dqc1Model":
@@ -165,20 +172,29 @@ class Dqc1Model:
         return cls(n=n, alpha=alpha, phases=np.sort(np.angle(np.linalg.eigvals(u))))
 
 
-def _cayley_phases(u: np.ndarray) -> np.ndarray:
-    """Ascending eigenphases in (-pi, pi) of a unitary u without the
-    eigenvalue -1, as 2 arctan of the eigenvalues tan(theta / 2) of the
-    Hermitian Cayley transform i (1 + u)^-1 (1 - u).  Overwrites u.
+def _haar_phases(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Ascending eigenphases in (-pi, pi) of the Haar unitary u = Q D that
+    `random_unitary` draws from Z = Q R, as 2 arctan of the eigenvalues
+    tan(theta / 2) of the Hermitian Cayley transform i (1 - u) (1 + u)^-1.
+    With B = D^-1 R, u = Z B^-1, so the transform is i (B - Z) (B + Z)^-1:
+    one QR that keeps R alone and one right division, with no Q and no u.
+    B is scaled, and B + Z summed, in place, and Z is dropped before the
+    division.
 
-    The solve leaves the transform a Hermitian defect that grows with its
+    The division leaves the transform a Hermitian defect that grows with its
     norm, which grows as an eigenphase nears pi; eigvalsh of one triangle
     would carry that defect into every eigenvalue, so the Hermitian part is
     taken (doubled, then halved exactly in the eigenvalues)."""
-    diag = np.diag_indices(u.shape[0])
-    x = np.negative(u)
-    x[diag] += 1.0
-    u[diag] += 1.0
-    x = np.linalg.solve(u, x)
+    z = _haar_ginibre(dim, rng)
+    b = np.linalg.qr(z, mode="r")
+    # each row k of R times conj(r_kk / |r_kk|)
+    b *= _diagonal_phases(b).conj()[:, np.newaxis]
+    x = b - z
+    b += z
+    del z
+    # x (B + Z) = B - Z, solved as (B + Z)^T x^T = (B - Z)^T
+    x = np.linalg.solve(b.T, x.T).T
+    del b
     # i (x - x^H) is twice the Hermitian part of i x
     x -= x.conj().T
     x *= 1j

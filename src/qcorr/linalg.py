@@ -39,6 +39,18 @@ def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_hermitian(m: np.ndarray) -> None:
+    """Raise InvalidStateError unless the square matrix m is finite and
+    Hermitian to within HERM_TOL."""
+    # array methods: cheaper than np.all and np.max on the small marginals
+    # that most calls check
+    if not np.isfinite(m).all():
+        raise InvalidStateError("matrix contains non-finite entries")
+    defect = abs(m - m.conj().T).max()
+    if defect > HERM_TOL:
+        raise InvalidStateError(f"not Hermitian: max |m - m^dag| = {defect:.3e}")
+
+
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes."""
     return a.conj().swapaxes(-1, -2)
@@ -75,11 +87,7 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"matrix of size {m.shape[0]} does not factor as {self.dim_a} x {self.dim_b}"
             )
-        if not np.all(np.isfinite(m)):
-            raise InvalidStateError("matrix contains non-finite entries")
-        herm_defect = np.max(np.abs(m - m.conj().T))
-        if herm_defect > HERM_TOL:
-            raise InvalidStateError(f"not Hermitian: max |m - m^dag| = {herm_defect:.3e}")
+        _check_hermitian(m)
         trace_defect = abs(m.trace() - 1.0)
         if trace_defect > TRACE_TOL:
             raise InvalidStateError(f"trace differs from 1 by {trace_defect:.3e}")
@@ -137,9 +145,7 @@ def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     returned basis reproducible across calls.
     """
     m = np.asarray(m, dtype=np.complex128)
-    defect = np.max(np.abs(m - m.conj().T))
-    if defect > HERM_TOL:
-        raise InvalidStateError(f"not Hermitian: max |m - m^dag| = {defect:.3e}")
+    _check_hermitian(m)
     vals, vecs = np.linalg.eigh(m)
     for k in range(vecs.shape[1]):
         col = vecs[:, k]
@@ -220,18 +226,19 @@ def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
 
 def _eigvals_of(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """The ascending spectrum as probabilities, every entry in [0, 1]: a
-    DensityMatrix's kept spectrum, or eigvalsh of a raw matrix (which reads
-    its lower triangle).  A spectrum below -EIG_CLAMP, off one in sum by
-    more than 1e-9, or NaN raises."""
+    DensityMatrix's kept spectrum, or eigvalsh of a raw matrix, which must
+    be finite and Hermitian to within HERM_TOL (eigvalsh reads only its
+    lower triangle).  A spectrum below -EIG_CLAMP or off one in sum by more
+    than 1e-9 raises."""
     if isinstance(rho, DensityMatrix):
         vals = rho.spectrum
     else:
-        vals = np.linalg.eigvalsh(np.asarray(rho, dtype=np.complex128))
+        m = np.asarray(rho, dtype=np.complex128)
+        _check_hermitian(m)
+        vals = np.linalg.eigvalsh(m)
     if vals[0] < -EIG_CLAMP:
         raise InvalidStateError(f"negative eigenvalue {vals[0]:.3e}")
     total = vals.sum()
-    # written so that NaN fails it: eigvalsh of a matrix with a NaN or an
-    # infinite entry gives NaN eigenvalues
     if not abs(total - 1.0) <= 1e-9:
         raise InvalidStateError(f"trace {total:.12f} differs from 1")
     # a trace off by up to TRACE_TOL can put the top eigenvalue above one
@@ -243,10 +250,11 @@ def _eigvals_of(rho: DensityMatrix | np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     """Von Neumann entropy in bits.  A DensityMatrix's entropy reads the
-    spectrum kept by its validation; a raw matrix takes eigvalsh of its lower
-    triangle.  Eigenvalues in [-1e-10, 0) are clamped to zero, and the
-    spectrum is renormalized to sum to one whenever it leaves [0, 1];
-    anything more negative, or a NaN spectrum, raises."""
+    spectrum kept by its validation; a raw matrix must be finite and
+    Hermitian to within HERM_TOL, and takes eigvalsh of its lower triangle.
+    Eigenvalues in [-1e-10, 0) are clamped to zero, and the spectrum is
+    renormalized to sum to one whenever it leaves [0, 1]; anything more
+    negative raises."""
     return _entropy_bits(_eigvals_of(rho))
 
 
@@ -262,15 +270,26 @@ def fourier_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
 
 
+def _diagonal_phases(r: np.ndarray) -> np.ndarray:
+    """Phases of the diagonal of an R factor, or of a stack of them, with
+    phase 1 for a zero diagonal entry."""
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(diag)
+    return np.divide(diag, mag, out=np.ones_like(diag), where=mag > 0)
+
+
 def _qr_with_phases(z: np.ndarray):
     """Q factor of a matrix, or a stack of them, with the phases ph of R's
     diagonal folded in: Q diag(ph), the Q of the factorization whose R has a
-    positive real diagonal.  A zero diagonal entry gets phase 1."""
+    positive real diagonal."""
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    mag = np.abs(diag)
-    ph = np.divide(diag, mag, out=np.ones_like(diag), where=mag > 0)
-    return q * ph[..., np.newaxis, :]
+    return q * _diagonal_phases(r)[..., np.newaxis, :]
+
+
+def _haar_ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The complex Ginibre matrix of a Haar draw: real parts, then imaginary
+    parts, standard normal over sqrt 2."""
+    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
 
 
 def random_unitary(dim: int, rng: int | np.random.Generator | None = None) -> np.ndarray:
@@ -279,9 +298,7 @@ def random_unitary(dim: int, rng: int | np.random.Generator | None = None) -> np
     The R factor's diagonal phases are divided out, which is what makes the
     distribution exactly Haar rather than merely unitary.
     """
-    rng = as_rng(rng)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    return _qr_with_phases(z)
+    return _qr_with_phases(_haar_ginibre(dim, as_rng(rng)))
 
 
 def random_density_matrix(

@@ -58,16 +58,37 @@ def test_constructors():
         Dqc1Model.haar(12, 0.5)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+def _assert_haar_phases_match_eigvals(n, seed):
+    want = np.sort(np.angle(np.linalg.eigvals(random_unitary(2**n, as_rng(seed)))))
+    got = Dqc1Model.haar(n, 0.5, seed=seed).phases
+    assert np.all(np.diff(got) >= 0)
+    # distances on the circle: a phase near +-pi may wrap
+    dist = np.abs(np.angle(np.exp(1j * (got[:, None] - want[None, :]))))
+    assert dist.min(axis=1).max() < 1e-12
+    assert dist.min(axis=0).max() < 1e-12
+
+
+# 4242 is the benchmark's held-out seed
+@pytest.mark.parametrize("seed", [0, 1, 2, 4242])
 def test_haar_phases_match_a_general_eigendecomposition(seed):
-    for n in range(1, 9):
-        want = np.sort(np.angle(np.linalg.eigvals(random_unitary(2**n, as_rng(seed)))))
-        got = Dqc1Model.haar(n, 0.5, seed=seed).phases
-        assert np.all(np.diff(got) >= 0)
-        # distances on the circle: a phase near +-pi may wrap
-        dist = np.abs(np.angle(np.exp(1j * (got[:, None] - want[None, :]))))
-        assert dist.min(axis=1).max() < 1e-12
-        assert dist.min(axis=0).max() < 1e-12
+    for n in range(1, 10):
+        _assert_haar_phases_match_eigvals(n, seed)
+
+
+def test_haar_phases_of_an_ill_conditioned_draw():
+    # the phases come from the Ginibre matrix Z's R factor without Q, so
+    # their error grows with cond(Z); seed 351 has the largest cond(Z) at
+    # n = 4 among seeds 0-2999
+    assert np.linalg.cond(dqc1._haar_ginibre(16, as_rng(351))) > 2e3
+    _assert_haar_phases_match_eigvals(4, 351)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_haar_draw_takes_the_stream_of_random_unitary(n):
+    drawn, reference = as_rng(17), as_rng(17)
+    Dqc1Model.haar(n, 0.5, drawn)
+    random_unitary(2**n, reference)
+    assert np.array_equal(drawn.standard_normal(8), reference.standard_normal(8))
 
 
 def test_from_unitary_takes_the_eigenvalue_minus_one():

@@ -202,6 +202,24 @@ def test_entropy_of_a_raw_matrix_with_a_non_finite_entry_raises(entry, bad):
         von_neumann_entropy(m)
 
 
+def _half_identity_with(entry, value, dim=2):
+    m = np.eye(dim, dtype=complex) / dim
+    m[entry] = value
+    return m
+
+
+@pytest.mark.parametrize("m,message", [
+    (_half_identity_with((0, 1), np.nan), "non-finite"),
+    (np.array([[0.5, 0.4], [0.0, 0.5]]), "not Hermitian"),
+    (_half_identity_with((2, 0), np.inf, dim=3), "non-finite"),
+], ids=["nan-above-diagonal", "non-hermitian", "inf-below-diagonal-3x3"])
+def test_entropy_of_a_raw_matrix_checks_it_before_eigvalsh(m, message):
+    # eigvalsh reads only the lower triangle: the first two gave 1.0 bits,
+    # and the third raised LinAlgError, with no check ahead of it
+    with pytest.raises(InvalidStateError, match=message):
+        von_neumann_entropy(m)
+
+
 def test_purity_values():
     assert purity(np.diag([1.0, 0.0])) == pytest.approx(1.0, abs=1e-14)
     assert purity(np.eye(3) / 3) == pytest.approx(1 / 3, abs=1e-14)
