@@ -25,20 +25,26 @@ rho**m, rho = alpha / (1 + sqrt(1 - alpha**2)) (see
 `_kernel_coefficients`).  So the mean is sum_m G_m Re(t_m e^{-i m phi}),
 where t_m is the normalized trace of U**m, the quantity a one-clean-qubit
 circuit estimates: the moments are taken once per scan, and each
-polarization's curve on the grid is one FFT, whatever 2**n is.  Each
-polarization's series stops at the least even m, at most 512, where a
-geometric bound on the dropped harmonics (`_tail_bound`) is at most
-1e-14 (m = 20 at alpha = 0.5, m = 158 at alpha = 0.99), and the moments go
-only as far as the scan's highest such m.  That m, the polarization's
-cutoff, is found once per scan and coarse-to-fine: the bound decreases in
-m, so it is taken at every 32nd harmonic first and then only at the 16
-even harmonics of the first bracket where it holds.  A polarization takes
-this spectral route only where some m up to 512 qualifies; the rest, alpha = 1
-and alpha above about 0.9992, where
-rho -> 1 and G_m falls only as m**-3, evaluate the curve directly on the
-grid.  Either way, one exact evaluation at the chosen grid point seeds the
-polish, so a row is the direct search's whenever both pick the same
-point.
+polarization's curve on the grid is one FFT, whatever 2**n is.  The
+moments are the means of the powers of w = exp(2i theta_s), each power
+the one before it times w, so a scan takes one exponential per level, not
+one per level and harmonic.  As only even m enter, the series is summed in
+psi = 2 phi, with coefficients j = m / 2, by an FFT whose length is the
+least multiple of the grid's point count in psi (grid / 2 for an even
+grid, grid for an odd one) above 256: 360 points at grid 720, half the
+length a series in phi needs.  Each polarization's series stops at the
+least even m, at most 512, where a geometric bound on the dropped
+harmonics (`_tail_bound`) is at most 1e-14 (m = 20 at alpha = 0.5,
+m = 158 at alpha = 0.99), and the moments go only as far as the scan's
+highest such m.  That m, the polarization's cutoff, is found once per scan
+and coarse-to-fine: the bound decreases in m, so it is taken at every 32nd
+harmonic first and then only at the 16 even harmonics of the first
+bracket where it holds.  A polarization takes this spectral route only
+where some m up to 512 qualifies; the rest, alpha = 1 and alpha above
+about 0.9992, where rho -> 1 and G_m falls only as m**-3, evaluate the
+curve directly on the grid.  Either way, one exact evaluation at the
+chosen grid point seeds the polish, so a row is the direct search's
+whenever both pick the same point.
 
 The best grid points are polished, in blocks of bounded size, by a
 safeguarded Newton iteration on the curve's exact slope and curvature
@@ -87,14 +93,15 @@ from .linalg import (
     binary_entropy,
 )
 from .measures import MiSearchResult, maximize_mi_projective
-from .optimize import OptimizerConfig
+from .optimize import OptimizerConfig, _require_integer
 
 MAX_EXPLICIT_N = 6
 MAX_HAAR_N = 11
 # a scan holds the 2**n phases, their cos and sin, and arrays of at most
-# _POLISH_BLOCK_FLOATS floats: with 101 steps n = 16 peaks at 73 MB in 1.2 s,
-# n = 17 at 75 MB in 2.7 s and n = 18 at 78 MB in 4.8 s (2-core machine, one
-# BLAS thread); the time doubles with each qubit, and n = 19 takes 12 s
+# _POLISH_BLOCK_FLOATS floats: with 101 steps n = 16 peaks at 73 MB in
+# 1.0-1.1 s, n = 17 at 75 MB in 2.0-2.2 s and n = 18 at 78 MB in 4.1-4.5 s
+# (2-core machine, one BLAS thread), where the alpha = 1 row takes 2.6-2.9 s,
+# the polish 1.3-1.6 s and the moments 0.1 s; the time doubles with each qubit
 MAX_SCAN_N = 18
 # azimuth grid points over 2 pi, and the step of the polish below which a
 # polarization stops (rad)
@@ -102,7 +109,8 @@ _GRID = 720
 _POLISH_XTOL = 1e-12
 # polarizations are polished in blocks of at most this many (block x 2**n)
 # floats per array, so the polish's memory does not grow with the scan length;
-# the moments, the spectral curves and a direct curve are blocked the same way
+# the spectral curves and a direct curve are blocked the same way, and the
+# moments' powers of exp(2i theta) fill one block of this many floats in turn
 _POLISH_BLOCK_FLOATS = 2**20
 # the highest harmonic of the spectral argmax, and the bound on the harmonics
 # it drops (bits) below which a polarization takes it; `_cutoff` searches the
@@ -117,7 +125,9 @@ class Dqc1Model:
     """Control polarization and work-register eigenphases.
 
     The register has 2**n levels; `phases` lists the eigenphases of the
-    controlled unitary in radians, one per level.
+    controlled unitary in radians, one per level.  n must be an integer
+    (Python or numpy, not bool), or ValueError is raised before 2**n is
+    built.
     """
 
     n: int
@@ -125,6 +135,7 @@ class Dqc1Model:
     phases: np.ndarray
 
     def __post_init__(self):
+        _require_integer("n", self.n)
         if self.n < 1:
             raise InvalidStateError(f"need at least one register qubit, got n={self.n}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -142,6 +153,7 @@ class Dqc1Model:
     @classmethod
     def uniform(cls, n: int, alpha: float) -> "Dqc1Model":
         """Eigenphases on the uniform grid 2 pi s / 2**n."""
+        _require_integer("n", n)
         size = 2**n
         return cls(n=n, alpha=alpha, phases=2 * np.pi * np.arange(size) / size)
 
@@ -151,6 +163,7 @@ class Dqc1Model:
         `random_unitary(2**n, seed)`, which the draw takes from the
         generator exactly as that call does, but found from the R factor of
         its Ginibre matrix Z alone (see `_haar_phases`)."""
+        _require_integer("n", n)
         if n > MAX_HAAR_N:
             raise UnsupportedDimensionError(
                 f"haar phases need an eigendecomposition of a {2**n} level unitary; "
@@ -328,37 +341,65 @@ def _cutoff(alphas) -> np.ndarray:
 
 def _moments(phases: np.ndarray, terms: int = _TERMS) -> np.ndarray:
     """Normalized traces t_m = 2**-n sum_s exp(i m theta_s) of U**m, for
-    the even harmonics m up to terms, in blocks of harmonics of at most
-    _POLISH_BLOCK_FLOATS floats; each t_m is the mean of its own row,
-    whatever block it is in."""
-    m = np.arange(0, terms + 1, 2)
-    rows = max(1, _POLISH_BLOCK_FLOATS // (2 * phases.size))
-    return np.concatenate([np.exp(1j * np.multiply.outer(m[lo:lo + rows], phases)).mean(axis=-1)
-                           for lo in range(0, m.size, rows)])
+    the even harmonics m = 2j up to terms, as the means of the powers w**j
+    of w = exp(2i theta_s): one exponential per level, and each power the
+    one before it times w.  The powers fill a block of at most
+    _POLISH_BLOCK_FLOATS floats row by row, the first row of a block from
+    the last row of the one before, so each t_m is the mean of its own row
+    and takes the same j products whatever block it is in or however far
+    the moments go."""
+    count = terms // 2
+    rows = max(1, min(count, _POLISH_BLOCK_FLOATS // (2 * phases.size)))
+    w = np.exp(2j * phases)
+    moments = np.empty(count + 1, dtype=np.complex128)
+    moments[0] = 1.0
+    block = np.empty((rows, phases.size), dtype=np.complex128)
+    # w**0, read by the first row through block[-1]
+    block[-1] = 1.0
+    for lo in range(1, count + 1, rows):
+        part = block[:count + 1 - lo]
+        for i in range(part.shape[0]):
+            np.multiply(block[i - 1], w, out=block[i])
+        moments[lo:lo + part.shape[0]] = part.mean(axis=-1)
+    return moments
+
+
+def _fold(grid: int) -> int:
+    """Points of the grid in psi = 2 phi: the azimuths 2 pi k / grid double
+    onto the grid / 2 points 2 pi k / (grid / 2) of an even grid, and onto
+    all grid points of an odd one."""
+    return grid // 2 if grid % 2 == 0 else grid
 
 
 def _series_length(grid: int) -> int:
-    """The least multiple of grid above _TERMS: an FFT of this length
-    evaluates every harmonic up to _TERMS on the grid without aliasing."""
-    return -(-(_TERMS + 1) // grid) * grid
+    """The least multiple of `_fold(grid)` above _TERMS / 2: an FFT of
+    this length evaluates every coefficient j = m / 2 up to _TERMS / 2 on
+    the grid in psi = 2 phi without aliasing."""
+    fold = _fold(grid)
+    return -(-(_TERMS // 2 + 1) // fold) * fold
 
 
 def _spectral_argmax(moments, alphas, betas, cutoffs, phis: np.ndarray, grid: int) -> np.ndarray:
     """Index in phis, the first points 2 pi k / grid of the grid, of the
     largest record information at each polarization, with the kernel's mean
     summed from its series over the even harmonics up to the polarization's
-    `_cutoff`, given in cutoffs, whose `_moments` t_m are among those given:
-    sum_m G_m Re(t_m e^{-i m phi}) is one FFT per row, so no row's
-    arithmetic depends on the others or on how many moments are given."""
+    `_cutoff`, given in cutoffs, whose `_moments` t_m are among those given.
+
+    Only even harmonics m = 2j enter, so the mean is
+    sum_j G_2j Re(t_2j e^{-i j psi}) in psi = 2 phi: one FFT per row, of
+    `_series_length(grid)` points, whose output l = (2k mod grid) G / grid
+    times length / G, with G = `_fold(grid)`, is the azimuth 2 pi k / grid.
+    No row's arithmetic depends on the others or on how many moments are
+    given."""
     from numpy import fft  # numpy loads it lazily; importing qcorr does not
 
     m = 2 * np.arange(moments.size)
-    length = _series_length(grid)
+    length, fold = _series_length(grid), _fold(grid)
     series = np.zeros((alphas.size, length), dtype=np.complex128)
-    series[:, m] = np.where(m <= cutoffs[:, None],
-                            _kernel_coefficients(alphas, m) * moments, 0.0)
-    stride = length // grid
-    mean = fft.fft(series)[:, :stride * phis.size:stride].real
+    series[:, :m.size] = np.where(m <= cutoffs[:, None],
+                                  _kernel_coefficients(alphas, m) * moments, 0.0)
+    cells = 2 * np.arange(phis.size) % grid * fold // grid * (length // fold)
+    mean = fft.fft(series).real[:, cells]
     along = np.multiply.outer(betas.real, np.cos(phis))
     along += np.multiply.outer(betas.imag, np.sin(phis))
     return np.argmax(binary_entropy((1 + along) / 2) - mean, axis=-1)
@@ -385,14 +426,18 @@ def _max_record_mi(model: Dqc1Model, alphas: np.ndarray, grid: int,
     otherwise, and `_polish` starts there.  Every polarization's `_cutoff`
     is found once, here: it ends the polarization's own series, and the
     highest spectral one ends the moments.  The register's cos theta_s and
-    sin theta_s are taken once, here, too.  Polarizations run in blocks, so
-    that no array grows with the scan length.
+    sin theta_s are taken once, here, too.  Polarizations run in blocks of
+    at most _POLISH_BLOCK_FLOATS floats per array, each row as wide as the
+    wider of a register row (2**n floats) and a spectral row (the complex
+    `_series_length` points in psi = 2 phi: 2 x 360 floats at grid 720),
+    so that no array grows with the scan length.
     """
+    _require_integer("grid", grid)
     if grid < 1:
         raise ValueError(f"grid needs at least one azimuth point, got grid={grid}")
     alphas = np.asarray(alphas, dtype=float)
     betas = alphas * trace
-    phis = 2 * np.pi * np.arange(grid // 2 if grid % 2 == 0 else grid) / grid
+    phis = 2 * np.pi * np.arange(_fold(grid)) / grid
     trig = (np.cos(model.phases), np.sin(model.phases))
     spectral = _tail_bound(alphas) <= _TAIL_TOL
     cut = _cutoff(alphas)
@@ -521,9 +566,9 @@ def dqc1_max_record_mi(model: Dqc1Model, grid: int = _GRID) -> float:
     curve's slope within one grid step on either side, until its step
     falls below 1e-12 rad, and the best value seen is returned, so the
     result is never below the exact value at that grid point.  `dqc1_scan`
-    runs the same
-    search for all its polarizations in one batch, with bitwise equal
-    results.  A grid below one point raises ValueError.
+    runs the same search for all its polarizations in one batch, with
+    bitwise equal results.  A grid below one point, or one that is not an
+    integer (Python or numpy, not bool), raises ValueError.
     """
     return float(_max_record_mi(model, np.array([model.alpha]), grid,
                                 exact_normalized_trace(model))[0])
@@ -558,11 +603,15 @@ def dqc1_scan(
     phase_model picks the eigenphase list: "uniform" for the evenly spaced
     grid, "haar" for a seeded Haar-random unitary (drawn once, shared by
     every point).  Registers above MAX_SCAN_N qubits raise
-    UnsupportedDimensionError before any phase array is built.
+    UnsupportedDimensionError before any phase array is built, and an n or
+    alpha_steps that is not an integer (Python or numpy, not bool) raises
+    ValueError.
     """
+    _require_integer("n", n)
+    _require_integer("alpha_steps", alpha_steps)
     if n > MAX_SCAN_N:
         raise UnsupportedDimensionError(
-            f"a scan's time doubles with each register qubit (n=18: 5 s and 78 MB at 101 steps); "
+            f"a scan's time doubles with each register qubit (n=18: 4.5 s and 78 MB at 101 steps); "
             f"capped at n={MAX_SCAN_N}, got n={n}")
     if alpha_steps < 1:
         raise ValueError(f"need at least one polarization step, got {alpha_steps}")
@@ -593,8 +642,10 @@ def trace_estimate(model: Dqc1Model, shots: int, seed=0) -> TraceEstimate:
 
     Draws `shots` outcomes for each equatorial observable on the control
     and inverts the polarization factor.  The reported standard error
-    combines both quadratures from the observed means.
+    combines both quadratures from the observed means.  shots must be an
+    integer (Python or numpy, not bool).
     """
+    _require_integer("shots", shots)
     if model.alpha == 0.0:
         raise ValueError("a depolarized control carries no trace signal")
     if shots < 1:

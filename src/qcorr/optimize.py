@@ -99,6 +99,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _require_integer(name: str, value) -> None:
+    """Raise ValueError unless value is an integer, Python or numpy, and
+    not a bool: a count of 2.0 or True is a caller's mistake, not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings shared by all measurement optimizers.
@@ -125,9 +132,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("restarts", "max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _require_integer(name, getattr(self, name))
         tol = self.tolerance
         if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
             raise ValueError(f"tolerance must be a real number, got {tol!r}")

@@ -378,6 +378,48 @@ def test_scan_finds_each_cutoff_once(monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_moments_of_uniform_phases_are_exact(n):
+    # t_m = 1 where 2**n divides m, and 0 otherwise
+    m = np.arange(0, dqc1._TERMS + 1, 2)
+    got = dqc1._moments(Dqc1Model.uniform(n, 0.0).phases)
+    assert np.abs(got - (m % 2**n == 0)).max() <= 1e-12
+
+
+def _exponential_moments(phases, terms=dqc1._TERMS):
+    """t_m as the mean of exp(i m theta_s), one exponential per harmonic and
+    level, as the package took them before the powers of exp(2i theta_s).
+    Its own argument m theta_s rounds by up to about 2e-13 at m = 512."""
+    m = np.arange(0, terms + 1, 2)
+    return np.exp(1j * np.multiply.outer(m, phases)).mean(axis=-1)
+
+
+@pytest.mark.parametrize("n", [8, 11])
+def test_moments_of_haar_phases_match_the_exponentials(n):
+    phases = Dqc1Model.haar(n, 0.0, seed=2).phases
+    assert np.abs(dqc1._moments(phases) - _exponential_moments(phases)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("budget", [1, 2 * 2**6 * 3, 2 * 2**6 * 100])
+def test_moments_carry_the_power_across_blocks(monkeypatch, budget):
+    phases = Dqc1Model.haar(6, 0.0, seed=3).phases
+    whole = dqc1._moments(phases)
+    # budget 1 takes one harmonic per block, the others 3 and 100, with a
+    # shorter last block
+    monkeypatch.setattr(dqc1, "_POLISH_BLOCK_FLOATS", budget)
+    blocked = dqc1._moments(phases)
+    np.testing.assert_array_equal(blocked, whole)
+    np.testing.assert_array_equal(dqc1._moments(phases, 40), whole[:21])
+    assert np.abs(blocked - _exponential_moments(phases)).max() <= 1e-12
+
+
+def test_series_length_is_the_least_multiple_of_the_psi_grid_above_the_terms():
+    # an even grid has grid / 2 points in psi = 2 phi, an odd one grid
+    for grid, length in ((1, 257), (2, 257), (3, 258), (8, 260), (9, 261),
+                         (720, 360), (721, 721)):
+        assert dqc1._series_length(grid) == length
+
+
 def _full_grid_cutoff(alphas):
     """`dqc1._cutoff` as the package found it before the coarse-to-fine
     search, from the tail bound at every even harmonic up to 512: the
@@ -486,7 +528,9 @@ def test_spectral_haar_scan_is_bitwise_the_full_grid_search(seed):
     assert [p.max_record_mi for p in pts] == want.tolist()
 
 
-@pytest.mark.parametrize("grid", [8, 9, 720, 721])
+# grids 1 and 2 have one point in psi = 2 phi, and 3 gathers its FFT
+# output out of order
+@pytest.mark.parametrize("grid", [1, 2, 3, 8, 9, 720, 721])
 def test_spectral_argmax_is_within_round_off_of_the_grid_maximum(grid):
     cut = _spectral_cutoff()
     alphas = np.concatenate([np.linspace(0.0, cut, 30), [0.999]])
@@ -519,6 +563,44 @@ def test_trace_estimate_statistics():
         trace_estimate(Dqc1Model.uniform(2, 0.0), 100)
     with pytest.raises(ValueError):
         trace_estimate(model, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: trace_estimate(Dqc1Model.haar(3, 0.5, seed=1), 3.9),
+    lambda: trace_estimate(Dqc1Model.haar(3, 0.5, seed=1), True),
+    lambda: Dqc1Model.uniform(2.0, 0.5),
+    lambda: Dqc1Model.uniform(True, 0.5),
+    # checked before 2**n is built, which would overflow
+    lambda: Dqc1Model.uniform(1e6, 0.5),
+    lambda: Dqc1Model.haar(2.0, 0.5),
+    lambda: Dqc1Model(True, 0.5, np.zeros(2)),
+    lambda: Dqc1Model(2.0, 0.5, np.zeros(4)),
+    lambda: dqc1_max_record_mi(Dqc1Model.uniform(3, 0.5), grid=True),
+    lambda: dqc1_max_record_mi(Dqc1Model.uniform(3, 0.5), grid=8.0),
+    lambda: dqc1_nonclassicality(Dqc1Model.uniform(3, 0.5), grid=8.0),
+    lambda: dqc1_scan(3, True),
+    lambda: dqc1_scan(3, 3.0),
+    lambda: dqc1_scan(3.0, 3),
+    lambda: dqc1_scan(1e6, 3),
+], ids=["shots-float", "shots-bool", "uniform-n-float", "uniform-n-bool", "uniform-n-huge",
+        "haar-n-float", "model-n-bool", "model-n-float", "grid-bool", "grid-float",
+        "nonclassicality-grid-float", "steps-bool", "steps-float", "scan-n-float",
+        "scan-n-huge"])
+def test_integer_arguments_reject_bools_and_floats(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_integer_arguments_accept_numpy_integers():
+    three = np.int64(3)
+    np.testing.assert_array_equal(Dqc1Model.uniform(three, 0.5).phases,
+                                  Dqc1Model.uniform(3, 0.5).phases)
+    model = Dqc1Model.haar(np.int32(3), 0.5, seed=1)
+    np.testing.assert_array_equal(model.phases, Dqc1Model.haar(3, 0.5, seed=1).phases)
+    assert Dqc1Model(three, 0.5, model.phases).n == 3
+    assert trace_estimate(model, np.int64(1000)) == trace_estimate(model, 1000)
+    assert dqc1_max_record_mi(model, grid=np.int64(720)) == dqc1_max_record_mi(model)
+    assert dqc1_scan(three, np.int64(5)) == dqc1_scan(3, 5)
 
 
 @pytest.mark.parametrize("call,error", [
